@@ -74,6 +74,7 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.engine.DropSession(id)
 	s.engine.snaps.drop(id)
+	s.sqlCatalog.forget(id)
 	s.metrics.datasets.Add(-1)
 	w.WriteHeader(http.StatusNoContent)
 }

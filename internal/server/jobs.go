@@ -469,10 +469,12 @@ func (e *Engine) Submit(spec JobSpec, requestID string) (JobStatus, error) {
 		cancel()
 		return JobStatus{}, errShuttingDown
 	}
-	// The ID is assigned and registered before the job hits the queue: a
-	// worker may dequeue it the instant the send succeeds.
+	// The ID is assigned and the status taken before the job hits the
+	// queue: a worker may dequeue it and move it past queued the instant
+	// the send succeeds.
 	e.nextID++
 	j.id = fmt.Sprintf("job-%06d", e.nextID)
+	st := j.status()
 	select {
 	case e.queue <- j:
 		e.jobs[j.id] = j
@@ -490,7 +492,7 @@ func (e *Engine) Submit(spec JobSpec, requestID string) (JobStatus, error) {
 		"dataset", spec.Dataset,
 		"sweep_points", len(points),
 		"request_id", requestID)
-	return j.status(), nil
+	return st, nil
 }
 
 // Status returns a job's status.

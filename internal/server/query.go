@@ -21,9 +21,20 @@ import (
 
 // snapEntry is one dataset's publication slot.
 type snapEntry struct {
-	ptr atomic.Pointer[querysnap.Snapshot]
+	ptr atomic.Pointer[published]
 	mu  sync.Mutex // serializes publishers (never held by readers)
 	seq uint64     // publication counter, guarded by mu
+}
+
+// published is one publication: the immutable snapshot and the SQL rows
+// derived from it. The rows are built on the first SQL read that needs
+// them (see sqlcatalog.go), never at publish time, so REST-only traffic
+// does not pay for them. A republish swaps in a fresh value and drop
+// forgets the entry, so the rows live exactly as long as their snapshot.
+type published struct {
+	snap *querysnap.Snapshot
+	// dedup, groups and nn hold the DEDUP(), dup_groups and nn_reln rows.
+	dedup, groups, nn lazyRows
 }
 
 // snapRegistry maps dataset IDs to their published snapshots. Lookups
@@ -36,6 +47,14 @@ type snapRegistry struct {
 // lookup returns the dataset's current snapshot, or nil if none is
 // published.
 func (r *snapRegistry) lookup(dataset string) *querysnap.Snapshot {
+	if p := r.current(dataset); p != nil {
+		return p.snap
+	}
+	return nil
+}
+
+// current returns the dataset's current publication, or nil if none.
+func (r *snapRegistry) current(dataset string) *published {
 	v, ok := r.entries.Load(dataset)
 	if !ok {
 		return nil
@@ -53,7 +72,7 @@ func (r *snapRegistry) publish(cfg querysnap.Config) (*querysnap.Snapshot, error
 	e := v.(*snapEntry)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if cur := e.ptr.Load(); cur != nil && cur.Rev() > cfg.Rev {
+	if cur := e.ptr.Load(); cur != nil && cur.snap.Rev() > cfg.Rev {
 		return nil, nil
 	}
 	cfg.Seq = e.seq + 1
@@ -62,12 +81,13 @@ func (r *snapRegistry) publish(cfg querysnap.Config) (*querysnap.Snapshot, error
 		return nil, err
 	}
 	e.seq++
-	e.ptr.Store(snap)
+	e.ptr.Store(&published{snap: snap})
 	return snap, nil
 }
 
-// drop forgets a dataset's snapshot (dataset deleted). Subsequent
-// queries answer 409 until a new job publishes.
+// drop forgets a dataset's snapshot and the SQL rows built from it
+// (dataset deleted). Subsequent queries answer 409 until a new job
+// publishes.
 func (r *snapRegistry) drop(dataset string) {
 	r.entries.Delete(dataset)
 }
@@ -78,8 +98,8 @@ func (r *snapRegistry) drop(dataset string) {
 func (r *snapRegistry) maxAge(now time.Time) float64 {
 	var oldest float64
 	r.entries.Range(func(_, v any) bool {
-		if snap := v.(*snapEntry).ptr.Load(); snap != nil {
-			if age := now.Sub(snap.Built()).Seconds(); age > oldest {
+		if p := v.(*snapEntry).ptr.Load(); p != nil {
+			if age := now.Sub(p.snap.Built()).Seconds(); age > oldest {
 				oldest = age
 			}
 		}

@@ -38,6 +38,11 @@ import (
 // member rid — a labeling that is stable between full and restricted
 // solves, which is what makes the pushdown path's output comparable
 // bit-for-bit against the unrestricted one.
+//
+// The rows of unrestricted DEDUP, dup_groups and nn_reln are built once
+// per published snapshot, by its first SQL reader, and held on the
+// publication itself (published in query.go): every later read of that
+// snapshot returns the same slices, which sqldb never writes.
 
 // blockKeyLen is the normalized-prefix length of the block_key column —
 // the same FirstNChars(4) key the blocked pipeline's default strategy
@@ -63,18 +68,9 @@ type sqlCatalog struct {
 	engine *Engine
 
 	mu sync.Mutex
-	// nnCache holds each dataset's last materialized nn_reln rows, keyed
-	// by the snapshot sequence that produced them (one entry per
-	// dataset; a new publication evicts the old rows).
-	nnCache map[string]*nnRelnEntry
 	// dedupCache holds restricted DEDUP results keyed by their full
 	// fingerprint (dataset, rev, params, sorted block keys).
 	dedupCache map[string][][]sqldb.Value
-}
-
-type nnRelnEntry struct {
-	seq  uint64
-	rows [][]sqldb.Value
 }
 
 // maxDedupCacheEntries bounds the restricted-result cache; on overflow
@@ -86,9 +82,53 @@ func newSQLCatalog(store *Store, engine *Engine) *sqlCatalog {
 	return &sqlCatalog{
 		store:      store,
 		engine:     engine,
-		nnCache:    make(map[string]*nnRelnEntry),
 		dedupCache: make(map[string][][]sqldb.Value),
 	}
+}
+
+// forget drops a deleted dataset's restricted DEDUP results. Its
+// snapshot rows go with the snapshot (snapRegistry.drop).
+func (c *sqlCatalog) forget(dataset string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for fp := range c.dedupCache {
+		if strings.HasPrefix(fp, dataset+"|") {
+			delete(c.dedupCache, fp)
+		}
+	}
+}
+
+// lazyRows is one table's rows for one publication, built by the first
+// reader that needs them. Readers arriving mid-build wait for it rather
+// than build again; a failed build (its reader's context ended) is not
+// kept, so the next reader retries.
+type lazyRows struct {
+	mu    sync.Mutex
+	built bool
+	rows  [][]sqldb.Value
+}
+
+func (l *lazyRows) get(build func() ([][]sqldb.Value, error)) ([][]sqldb.Value, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.built {
+		rows, err := build()
+		if err != nil {
+			return nil, err
+		}
+		l.rows, l.built = rows, true
+	}
+	return l.rows, nil
+}
+
+// appendRows adds one dataset's rows to out. A lone dataset's rows come
+// back as they are, shared, with their capacity clipped so that a later
+// append copies them instead of writing past their end.
+func appendRows(out, rows [][]sqldb.Value) [][]sqldb.Value {
+	if out == nil {
+		return rows[:len(rows):len(rows)]
+	}
+	return append(out, rows...)
 }
 
 // VirtualTable implements sqldb.Catalog.
@@ -279,11 +319,11 @@ func (t *dupGroupsTable) Rows(ctx context.Context, push []sqldb.Pushdown, limit 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		snap := t.c.engine.snaps.lookup(id)
-		if snap == nil {
+		pub := t.c.engine.snaps.current(id)
+		if pub == nil {
 			continue // no committed solve yet: no rows, not an error
 		}
-		out = append(out, snapshotGroupRows(id, snap)...)
+		out = appendRows(out, pub.groupRows(false))
 		if _, err := capped(out, limit, "dup_groups"); err != nil {
 			return nil, err
 		}
@@ -291,27 +331,37 @@ func (t *dupGroupsTable) Rows(ctx context.Context, push []sqldb.Pushdown, limit 
 	return out, nil
 }
 
-// snapshotGroupRows renders one snapshot's partition as dup_groups rows.
-func snapshotGroupRows(dataset string, snap *querysnap.Snapshot) [][]sqldb.Value {
-	out := make([][]sqldb.Value, 0, snap.Len())
-	for gi := 0; gi < snap.Groups(); gi++ {
-		members := snap.Members(gi)
-		gid := minRID(members, snap.RID)
-		diam := groupDiameter(members, snap.Distance)
-		rep := snap.RepIndex(gi)
-		for _, idx := range members {
-			out = append(out, []sqldb.Value{
-				sqldb.Text(dataset),
-				sqldb.Int(snap.RID(idx)),
-				sqldb.Text(snap.Key(idx)),
-				sqldb.Int(gid),
-				sqldb.Int(int64(len(members))),
-				sqldb.Float(diam),
-				sqldb.Bool(idx == rep),
-			})
-		}
+// groupRows returns the publication's partition as SQL rows, one per
+// record in group order: with blockKey the DEDUP() columns, without it
+// the dup_groups columns, which are the same minus block_key. Each set
+// is built on its first read.
+func (p *published) groupRows(blockKey bool) [][]sqldb.Value {
+	l := &p.groups
+	if blockKey {
+		l = &p.dedup
 	}
-	return out
+	rows, _ := l.get(func() ([][]sqldb.Value, error) { // never fails
+		snap := p.snap
+		out := make([][]sqldb.Value, 0, snap.Len())
+		for gi := 0; gi < snap.Groups(); gi++ {
+			members := snap.Members(gi)
+			gid := sqldb.Int(minRID(members, snap.RID))
+			size := sqldb.Int(int64(len(members)))
+			diam := sqldb.Float(groupDiameter(members, snap.Distance))
+			rep := snap.RepIndex(gi)
+			for _, idx := range members {
+				key := snap.Key(idx)
+				row := make([]sqldb.Value, 0, 8)
+				row = append(row, sqldb.Text(snap.Dataset()), sqldb.Int(snap.RID(idx)), sqldb.Text(key))
+				if blockKey {
+					row = append(row, textOrNull(firstKeyString(key)))
+				}
+				out = append(out, append(row, gid, size, diam, sqldb.Bool(idx == rep)))
+			}
+		}
+		return out, nil
+	})
+	return rows
 }
 
 // minRID returns the smallest rid among the member indexes — the stable
@@ -362,11 +412,15 @@ func (t *nnRelnTable) Rows(ctx context.Context, push []sqldb.Pushdown, limit int
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rows, err := t.c.nnRelnRows(ctx, id)
+		pub := t.c.engine.snaps.current(id)
+		if pub == nil {
+			continue
+		}
+		rows, err := pub.nnRelnRows(ctx)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rows...)
+		out = appendRows(out, rows)
 		if _, err := capped(out, limit, "nn_reln"); err != nil {
 			return nil, err
 		}
@@ -374,49 +428,34 @@ func (t *nnRelnTable) Rows(ctx context.Context, push []sqldb.Pushdown, limit int
 	return out, nil
 }
 
-// nnRelnRows materializes (and caches, per snapshot publication) the
-// phase-1 NN relation of a dataset's committed solve: for each record,
-// its nearest-neighbor list under the solved cut, in ascending
-// (distance, rid) order, plus its neighborhood growth ng(v). Datasets
-// without a published snapshot contribute no rows.
-func (c *sqlCatalog) nnRelnRows(ctx context.Context, dataset string) ([][]sqldb.Value, error) {
-	snap := c.engine.snaps.lookup(dataset)
-	if snap == nil {
-		return nil, nil
-	}
-	c.mu.Lock()
-	if e := c.nnCache[dataset]; e != nil && e.seq == snap.Seq() {
-		rows := e.rows
-		c.mu.Unlock()
-		return rows, nil
-	}
-	c.mu.Unlock()
-
-	// Recompute phase 1 over the snapshot's own records and params so
-	// the relation matches the committed partition exactly. This runs
-	// outside the catalog lock: a slow rebuild must not block other
-	// connections' cached reads.
-	rel, err := recomputeNNRelation(ctx, snap)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]sqldb.Value, 0, len(rel.Rows))
-	for i, row := range rel.Rows {
-		for rank, nb := range row.NNList {
-			rows = append(rows, []sqldb.Value{
-				sqldb.Text(dataset),
-				sqldb.Int(snap.RID(i)),
-				sqldb.Int(int64(rank + 1)),
-				sqldb.Int(snap.RID(nb.ID)),
-				sqldb.Float(nb.Dist),
-				sqldb.Int(int64(row.NG)),
-			})
+// nnRelnRows returns (building on first read) the phase-1 NN relation
+// of the publication's solve: for each record, its nearest-neighbor list
+// under the solved cut, in ascending (distance, rid) order, plus its
+// neighborhood growth ng(v). Phase 1 is recomputed over the snapshot's
+// own records and params, so the relation matches the committed
+// partition exactly.
+func (p *published) nnRelnRows(ctx context.Context) ([][]sqldb.Value, error) {
+	return p.nn.get(func() ([][]sqldb.Value, error) {
+		snap := p.snap
+		rel, err := recomputeNNRelation(ctx, snap)
+		if err != nil {
+			return nil, err
 		}
-	}
-	c.mu.Lock()
-	c.nnCache[dataset] = &nnRelnEntry{seq: snap.Seq(), rows: rows}
-	c.mu.Unlock()
-	return rows, nil
+		rows := make([][]sqldb.Value, 0, len(rel.Rows))
+		for i, row := range rel.Rows {
+			for rank, nb := range row.NNList {
+				rows = append(rows, []sqldb.Value{
+					sqldb.Text(snap.Dataset()),
+					sqldb.Int(snap.RID(i)),
+					sqldb.Int(int64(rank + 1)),
+					sqldb.Int(snap.RID(nb.ID)),
+					sqldb.Float(nb.Dist),
+					sqldb.Int(int64(row.NG)),
+				})
+			}
+		}
+		return rows, nil
+	})
 }
 
 // recomputeNNRelation rebuilds the phase-1 nearest-neighbor relation a
@@ -542,7 +581,7 @@ func parseDedupArgs(args []sqldb.Value) (dedupParams, error) {
 // matchesSnapshot reports whether a published snapshot answers exactly
 // this parameterization (same mode, thresholds, and metric).
 func (p dedupParams) matchesSnapshot(snap *querysnap.Snapshot, rev int64) bool {
-	if snap == nil || snap.Rev() != rev {
+	if snap.Rev() != rev {
 		return false
 	}
 	sp := snap.Params()
@@ -590,20 +629,20 @@ func (c *sqlCatalog) dedupFull(ctx context.Context, p dedupParams) ([][]sqldb.Va
 	if err != nil {
 		return nil, fmt.Errorf("DEDUP: %w", err)
 	}
-	snap := c.engine.snaps.lookup(p.dataset)
-	if !p.matchesSnapshot(snap, rev) {
-		if snap, err = c.solveViaJob(ctx, p); err != nil {
+	pub := c.engine.snaps.current(p.dataset)
+	if pub == nil || !p.matchesSnapshot(pub.snap, rev) {
+		if pub, err = c.solveViaJob(ctx, p); err != nil {
 			return nil, err
 		}
 	}
-	return dedupSnapshotRows(p.dataset, snap), nil
+	return pub.groupRows(true), nil
 }
 
 // solveViaJob submits the DEDUP parameterization as a regular batch job
-// and waits for it, returning the snapshot it published. The job path —
+// and waits for it, returning the publication it made. The job path —
 // queueing, durability, metrics, tracing — is shared with REST clients;
 // SQL adds only the blocking wait.
-func (c *sqlCatalog) solveViaJob(ctx context.Context, p dedupParams) (*querysnap.Snapshot, error) {
+func (c *sqlCatalog) solveViaJob(ctx context.Context, p dedupParams) (*published, error) {
 	spec := JobSpec{Dataset: p.dataset, Mode: p.mode, C: []float64{p.c}}
 	if p.mode != "diameter" {
 		spec.K = []int{p.k}
@@ -638,36 +677,11 @@ func (c *sqlCatalog) solveViaJob(ctx context.Context, p dedupParams) (*querysnap
 	// The snapshot publishes before done becomes observable, so it is
 	// here — unless an even fresher job overwrote it meanwhile, in which
 	// case the newest committed state is still the right answer.
-	snap := c.engine.snaps.lookup(p.dataset)
-	if snap == nil {
+	pub := c.engine.snaps.current(p.dataset)
+	if pub == nil {
 		return nil, fmt.Errorf("DEDUP: job %s finished but published no snapshot", st.ID)
 	}
-	return snap, nil
-}
-
-// dedupSnapshotRows renders a snapshot's partition as DEDUP rows.
-func dedupSnapshotRows(dataset string, snap *querysnap.Snapshot) [][]sqldb.Value {
-	out := make([][]sqldb.Value, 0, snap.Len())
-	for gi := 0; gi < snap.Groups(); gi++ {
-		members := snap.Members(gi)
-		gid := minRID(members, snap.RID)
-		diam := groupDiameter(members, snap.Distance)
-		rep := snap.RepIndex(gi)
-		for _, idx := range members {
-			key := snap.Key(idx)
-			out = append(out, []sqldb.Value{
-				sqldb.Text(dataset),
-				sqldb.Int(snap.RID(idx)),
-				sqldb.Text(key),
-				textOrNull(firstKeyString(key)),
-				sqldb.Int(gid),
-				sqldb.Int(int64(len(members))),
-				sqldb.Float(diam),
-				sqldb.Bool(idx == rep),
-			})
-		}
-	}
-	return out
+	return pub, nil
 }
 
 // firstKeyString is blockKeyOf for an already-joined record string.
@@ -751,11 +765,14 @@ func (c *sqlCatalog) dedupRestricted(ctx context.Context, p dedupParams, want ma
 		}
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, err := c.store.Get(p.dataset); err != nil {
+		return rows, nil // deleted mid-solve: forget already ran, keep nothing
+	}
 	if len(c.dedupCache) >= maxDedupCacheEntries {
 		c.dedupCache = make(map[string][][]sqldb.Value)
 	}
 	c.dedupCache[fp] = rows
-	c.mu.Unlock()
 	return rows, nil
 }
 

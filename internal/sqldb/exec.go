@@ -546,10 +546,9 @@ func (db *DB) execSelect(ctx context.Context, s *SelectStmt) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := coerceVirtualRows(sources[i].ref.Table, sources[i].cols, rows); err != nil {
+			if newRows, err = coerceVirtualRows(sources[i].ref.Table, sources[i].cols, rows); err != nil {
 				return nil, err
 			}
-			newRows = rows
 		}
 		if err := db.capRows(len(newRows), sources[i].ref.Table); err != nil {
 			return nil, err

@@ -32,6 +32,10 @@ type Pushdown struct {
 // the server row cap: producing more than limit rows is an error
 // anyway, so implementations should stop early and may return
 // ErrMaxRows-wrapped errors themselves for a better message.
+//
+// The returned rows may be shared: an implementation can hand the same
+// slices to every query and every DB, and the executor never writes
+// them (neither the outer slice nor any row).
 type VirtualTable interface {
 	Columns() []ColumnDef
 	Rows(ctx context.Context, push []Pushdown, limit int) ([][]Value, error)
@@ -39,8 +43,8 @@ type VirtualTable interface {
 
 // TableFunc is a parameterized virtual table usable in FROM:
 // SELECT ... FROM F(arg, ...). Arguments are constant expressions
-// evaluated before invocation. Pushdowns and limit work as for
-// VirtualTable.
+// evaluated before invocation. Pushdowns, limit and the shared,
+// never-written returned rows work as for VirtualTable.
 type TableFunc interface {
 	Columns(args []Value) ([]ColumnDef, error)
 	Invoke(ctx context.Context, args []Value, push []Pushdown, limit int) ([][]Value, error)
@@ -129,21 +133,38 @@ func pushdownsFor(conjuncts []Expr, applied []bool, full *schema, i int, cols []
 
 // coerceVirtualRows validates shape and column types of rows a virtual
 // source produced, coercing values (INT widens to FLOAT and so on) so
-// downstream operators see the declared types.
-func coerceVirtualRows(name string, cols []ColumnDef, rows [][]Value) error {
-	for _, row := range rows {
+// downstream operators see the declared types. The source's rows may be
+// shared with other sessions, so they are never written: a coercion that
+// changes a value copies the outer slice and that row first, and the
+// returned rows are the ones to use.
+func coerceVirtualRows(name string, cols []ColumnDef, rows [][]Value) ([][]Value, error) {
+	copied := false
+	for ri, row := range rows {
 		if len(row) != len(cols) {
-			return fmt.Errorf("sqldb: virtual source %s returned a %d-column row, schema has %d", name, len(row), len(cols))
+			return nil, fmt.Errorf("sqldb: virtual source %s returned a %d-column row, schema has %d", name, len(row), len(cols))
 		}
+		ownRow := false
 		for ci := range row {
 			v, err := cols[ci].Type.coerce(row[ci])
 			if err != nil {
-				return fmt.Errorf("sqldb: virtual source %s column %s: %w", name, cols[ci].Name, err)
+				return nil, fmt.Errorf("sqldb: virtual source %s column %s: %w", name, cols[ci].Name, err)
+			}
+			if v.Kind == row[ci].Kind {
+				continue // coerce changes a value only by changing its kind
+			}
+			if !copied {
+				rows = append([][]Value(nil), rows...)
+				copied = true
+			}
+			if !ownRow {
+				row = append([]Value(nil), row...)
+				rows[ri] = row
+				ownRow = true
 			}
 			row[ci] = v
 		}
 	}
-	return nil
+	return rows, nil
 }
 
 // constArgs evaluates a table function's argument expressions, which

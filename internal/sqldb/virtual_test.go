@@ -296,3 +296,47 @@ func TestPushdownNotExtractedForOtherSource(t *testing.T) {
 		t.Fatalf("ambiguous column pushed down: %+v", vt.gotPush)
 	}
 }
+
+// sharedVT serves one row set to every query, as a catalog that caches
+// its rows does, with INT values in a FLOAT column that the executor
+// must widen.
+type sharedVT struct{ rows [][]Value }
+
+func (s *sharedVT) Columns() []ColumnDef {
+	return []ColumnDef{{Name: "x", Type: TypeFloat}, {Name: "name", Type: TypeText}}
+}
+
+func (s *sharedVT) Rows(ctx context.Context, push []Pushdown, limit int) ([][]Value, error) {
+	return s.rows, nil
+}
+
+// TestVirtualRowsNeverWritten pins the read-only contract on rows a
+// virtual source returns: the executor widens INT to FLOAT in its own
+// copy, leaves the source's rows as they were, and two DBs reading the
+// same rows at once do not race.
+func TestVirtualRowsNeverWritten(t *testing.T) {
+	shared := [][]Value{{Int(1), Text("a")}, {Float(2.5), Text("b")}}
+	want := [][]Value{{Int(1), Text("a")}, {Float(2.5), Text("b")}}
+	cat := &fakeCatalog{vts: map[string]VirtualTable{"vt": &sharedVT{rows: shared}}}
+
+	done := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		db := Open()
+		db.Catalog = cat
+		go func() {
+			res, err := db.Exec("SELECT x, name FROM vt ORDER BY x")
+			if err == nil && (res.Rows[0][0] != Float(1) || res.Rows[1][0] != Float(2.5)) {
+				err = fmt.Errorf("rows = %v, want x widened to FLOAT", res.Rows)
+			}
+			done <- err
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(shared, want) {
+		t.Fatalf("source rows written:\n%#v\nwant\n%#v", shared, want)
+	}
+}

@@ -3,15 +3,19 @@
 // produce the same NN relation as over nnindex.Exact — identical rows
 // (neighbor lists with distances, growth counts), not merely identical
 // groups. This is the external-package half of the pruned test suite; it
-// drives the indexes through the real phase-1 machinery.
+// drives the indexes through the real phase-1 machinery. Its by-value
+// leg holds nnindex.Scan, the online path's miss scan, to the same
+// standard for keys outside the corpus.
 package nnindex_test
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"fuzzydup/internal/core"
 	"fuzzydup/internal/distance"
@@ -119,22 +123,73 @@ func checkPhase1Equivalent(t *testing.T, keys []string, metric distance.Metric, 
 	}
 }
 
+// byValueMetrics are the metrics of the by-value leg: both certified
+// metrics, and jaccard, for which Scan has no bound and verifies every
+// record.
+var byValueMetrics = []distance.Metric{distance.Edit{}, distance.Damerau{}, distance.Jaccard{}}
+
+// checkNearestByValue runs keys that need not be corpus records through
+// Scan.Nearest — mutations of corpus keys, zero-signature keys, and a key
+// longer than any record — and requires the (ID, distance) lists of a
+// brute-force exact scan, bit for bit, for k from 1 to beyond n.
+func checkNearestByValue(t *testing.T, keys []string, r *rand.Rand, context string) {
+	t.Helper()
+	n := len(keys)
+	longest := ""
+	for _, k := range keys {
+		if utf8.RuneCountInString(k) > utf8.RuneCountInString(longest) {
+			longest = k
+		}
+	}
+	queries := []string{"", "...", "'", longest + "間" + longest}
+	for i := 0; i < 10; i++ {
+		queries = append(queries, equivMutate(r, keys[r.Intn(n)]))
+	}
+	for _, metric := range byValueMetrics {
+		scan := nnindex.NewScan(keys, metric)
+		for _, q := range queries {
+			all := make([]nnindex.Neighbor, n)
+			for i, key := range keys {
+				all[i] = nnindex.Neighbor{ID: i, Dist: metric.Distance(q, key)}
+			}
+			sort.Slice(all, func(a, b int) bool {
+				if all[a].Dist != all[b].Dist {
+					return all[a].Dist < all[b].Dist
+				}
+				return all[a].ID < all[b].ID
+			})
+			for _, k := range []int{1, 3, 5, n, n + 3} {
+				got, verified := scan.Nearest(q, k)
+				if want := all[:min(k, n)]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s metric=%s: Nearest(%q, %d)\ngot:  %v\nwant: %v",
+						context, metric.Name(), q, k, got, want)
+				}
+				if verified > n || (!scan.Prefiltered() && verified != n) {
+					t.Fatalf("%s metric=%s: Nearest(%q, %d) verified %d of %d records (prefiltered=%v)",
+						context, metric.Name(), q, k, verified, n, scan.Prefiltered())
+				}
+			}
+		}
+	}
+}
+
 // TestPrunedPhase1Equivalence is the harness's main sweep: size cuts
 // K ∈ {1..5} (K=1 via TopK probes below the cut minimum is exercised by
-// the candidate tests; cuts validate K >= 2), diameter cuts across a θ
-// sweep, and combined cuts, over both certified metrics, serial and
-// parallel, on corpora mixing unicode, empty strings, and duplicates.
+// TestPrunedTopKBelowCutMinimum; cuts validate K >= 2), diameter cuts
+// across a θ sweep, and combined cuts, over both certified metrics,
+// serial and parallel, on corpora mixing unicode, empty strings, and
+// duplicates. Each corpus also runs the by-value leg.
 func TestPrunedPhase1Equivalence(t *testing.T) {
 	cuts := []core.Cut{
 		{MaxSize: 2}, {MaxSize: 3}, {MaxSize: 4}, {MaxSize: 5},
 		{Diameter: 0.02}, {Diameter: 0.08}, {Diameter: 0.2}, {Diameter: 0.45}, {Diameter: 0.9},
 		{MaxSize: 3, Diameter: 0.2}, {MaxSize: 5, Diameter: 0.6},
 	}
-	for _, metricName := range []string{"ed", "damerau"} {
-		metric := equivMetric(metricName)
-		for seed := int64(1); seed <= 3; seed++ {
-			for _, n := range []int{12, 50, 140} {
-				keys := equivCorpus(rand.New(rand.NewSource(seed)), n)
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, n := range []int{12, 50, 140} {
+			keys := equivCorpus(rand.New(rand.NewSource(seed)), n)
+			for _, metricName := range []string{"ed", "damerau"} {
+				metric := equivMetric(metricName)
 				for ci, cut := range cuts {
 					for _, par := range []int{1, 4} {
 						ctx := fmt.Sprintf("metric=%s seed=%d n=%d cut=%d par=%d", metricName, seed, n, ci, par)
@@ -142,6 +197,7 @@ func TestPrunedPhase1Equivalence(t *testing.T) {
 					}
 				}
 			}
+			checkNearestByValue(t, keys, rand.New(rand.NewSource(seed)), fmt.Sprintf("seed=%d n=%d", seed, n))
 		}
 	}
 }
@@ -190,7 +246,7 @@ func TestPrunedPhase1EngagesPrefilter(t *testing.T) {
 // FuzzPrunedPhase1Equivalence fuzzes the harness: generated corpora
 // (bytes mapped onto a small mixed-width alphabet, 0xFF as the record
 // separator), a generated cut, both certified metrics, always compared
-// row-for-row against the exact index.
+// row-for-row against the exact index, plus the by-value leg.
 func FuzzPrunedPhase1Equivalence(f *testing.F) {
 	f.Add([]byte("janet\xffjanet smith\xffjan te\xff\xffabc"), uint8(3), false)
 	f.Add([]byte{0xFF, 0xFF, 1, 2, 3}, uint8(0), true)
@@ -229,5 +285,6 @@ func FuzzPrunedPhase1Equivalence(f *testing.F) {
 		}
 		ctx := fmt.Sprintf("metric=%s cut=%+v", metricName, cut)
 		checkPhase1Equivalent(t, keys, equivMetric(metricName), cut, 1, ctx)
+		checkNearestByValue(t, keys, rand.New(rand.NewSource(int64(cutSel))), "fuzz")
 	})
 }

@@ -80,26 +80,31 @@ func (e *Exact) Distance(a, b int) float64 {
 	return e.metric.Distance(e.keys[a], e.keys[b])
 }
 
-// TopK implements Index. For k well below the relation size it keeps the
-// k nearest seen so far in a bounded max-heap ordered by (distance, ID) —
-// O(n log k) instead of sorting all n neighbors — which is what makes the
-// exact index usable as the per-block engine of the sharded solve and as
-// the full-solve reference at 50k records. The output is bit-identical to
-// sorting the whole neighbor list and truncating: (distance, ID) is a
-// total order, so the k smallest elements are unique.
+// TopK implements Index.
 func (e *Exact) TopK(id, k int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	n := len(e.keys)
-	if k >= n-1 {
-		return e.allNeighbors(id)
+	return e.nearest(e.keys[id], id, k)
+}
+
+// nearest is the exact top-k selection: the k nearest keys to q,
+// skipping ID skip (-1 for none), ascending by (distance, ID); k is
+// clamped to n. It keeps the k nearest seen so far in a bounded max-heap
+// ordered by (distance, ID) — O(n log k) instead of sorting all n
+// neighbors — which is what makes the exact index usable as the
+// per-block engine of the sharded solve and as the full-solve reference
+// at 50k records. The output is bit-identical to sorting the whole
+// neighbor list and truncating: (distance, ID) is a total order, so the
+// k smallest elements are unique.
+func (e *Exact) nearest(q string, skip, k int) []Neighbor {
+	if k > len(e.keys) {
+		k = len(e.keys)
 	}
-	q := e.keys[id]
 	// h is a max-heap on (Dist, ID): h[0] is the worst of the k best.
 	h := make([]Neighbor, 0, k)
 	for u, key := range e.keys {
-		if u == id {
+		if u == skip {
 			continue
 		}
 		nb := Neighbor{ID: u, Dist: e.metric.Distance(q, key)}
@@ -184,17 +189,4 @@ func (e *Exact) GrowthCount(id int, r float64) int {
 		}
 	}
 	return n
-}
-
-func (e *Exact) allNeighbors(id int) []Neighbor {
-	q := e.keys[id]
-	ns := make([]Neighbor, 0, len(e.keys)-1)
-	for u, key := range e.keys {
-		if u == id {
-			continue
-		}
-		ns = append(ns, Neighbor{ID: u, Dist: e.metric.Distance(q, key)})
-	}
-	sortNeighbors(ns)
-	return ns
 }

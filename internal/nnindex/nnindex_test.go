@@ -335,6 +335,21 @@ func BenchmarkQGramTopK(b *testing.B) {
 	}
 }
 
+// allNeighbors is the full-sort reference TopK and Range are pinned
+// against: every neighbor of id, sorted by (distance, ID).
+func (e *Exact) allNeighbors(id int) []Neighbor {
+	q := e.keys[id]
+	ns := make([]Neighbor, 0, len(e.keys)-1)
+	for u, key := range e.keys {
+		if u == id {
+			continue
+		}
+		ns = append(ns, Neighbor{ID: u, Dist: e.metric.Distance(q, key)})
+	}
+	sortNeighbors(ns)
+	return ns
+}
+
 // TestExactTopKMatchesFullSort pins the heap-selection TopK against the
 // reference implementation (sort every neighbor, truncate) across corpus
 // sizes, k values, and deliberate distance ties: the outputs must be

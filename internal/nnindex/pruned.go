@@ -2,73 +2,53 @@ package nnindex
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"fuzzydup/internal/distance"
-	"fuzzydup/internal/strutil"
 )
 
 // Pruned is a drop-in replacement for Exact that answers every query
 // bit-for-bit identically while skipping most exact-metric evaluations.
-// It layers two certified filters over the signature kernel of sig.go:
+// It layers a multi-index Hamming certificate (bands.go) over the
+// certified linear scan (Scan, scan.go):
 //
-//  1. Multi-index Hamming retrieval (bands.go): the query's nonzero-band
-//     matches form a candidate set; every non-candidate is at Hamming
-//     distance >= z from the query signature, where z is the query's
-//     nonzero band count, so max(qm, rm) >= ceil(z/2) missing bits, so
-//     its edit count is at least E = ceil(ceil(z/2)/divisor). Folding in
-//     the free length-difference bound (edits >= |qlen - rlen|, over
-//     denominator max(qlen, rlen)) yields a per-query normalized floor
+//  1. Band retrieval: the query's nonzero-band matches form a candidate
+//     set; every non-candidate is at Hamming distance >= z from the query
+//     signature, where z is the query's nonzero band count, so
+//     max(qm, rm) >= ceil(z/2) missing bits, so its edit count is at
+//     least E = ceil(ceil(z/2)/divisor). Folding in the free
+//     length-difference bound (edits >= |qlen - rlen|, over denominator
+//     max(qlen, rlen)) yields a per-query normalized floor
 //     floor(q) = E / (qlen + E): rlen <= qlen gives E/qlen, longer
 //     records give max(E, rlen-qlen)/rlen, minimized at rlen = qlen + E.
 //     When the answer provably lives below floor(q) — theta <= floor(q)
 //     for range queries, worst-of-a-full-top-k strictly below floor(q)
-//     for TopK — only candidates need exact verification.
-//  2. The linear popcount scan: when the band certificate does not
-//     apply, every record's per-pair lower bound (the larger of the
-//     gram-damage bound ceil(max(qm,rm)/divisor) and the free length
-//     difference, over denom = max of the two normalized lengths) still
-//     prunes, exactly as in the online query path (internal/querysnap).
-//     Records are verified in ascending-bound order via a counting sort
-//     so the running k-th best tightens as fast as possible, and
-//     verification itself uses bounded kernels capped just above the
-//     retained worst.
+//     for TopK — only candidates need exact verification, each under the
+//     scan's per-pair bound and bounded kernels.
+//  2. Otherwise TopK falls through to Scan, and Range/GrowthCount check
+//     every record under the scan's per-pair bound.
 //
-// Both filters are provably lossless: a record is skipped only when a
-// sound lower bound proves its true distance cannot change the answer,
-// strict comparisons leave all (distance, ID) ties to exact
-// verification, and verified distances are computed with the same
-// float64 division over the same normalized-rune lengths as
-// distance.Edit/Damerau — so results are byte-identical to Exact, not
-// merely equivalent. Hash collisions only lower popcounts, weakening
-// bounds; they can never break them.
+// Both filters are provably lossless (see Scan for the per-pair
+// argument): a record is skipped only when a sound lower bound proves
+// its true distance cannot change the answer, strict comparisons leave
+// all (distance, ID) ties to exact verification, and verified distances
+// are byte-identical to Exact's.
 //
-// Fallback rules (each query delegates wholesale to the embedded Exact
-// index, counted in PrunedCounters' fallbacks):
+// Fallback rules (each query delegates wholesale to Exact, counted in
+// PrunedCounters' fallbacks):
 //
 //   - the metric is not edit-family ("ed"/"damerau" by Name(), looked up
 //     through counting wrappers): no certified bound exists;
 //   - the query's signature is all-zero (its normalized form is empty,
-//     shorter than a q-gram): the bound is vacuous for it;
+//     shorter than a q-gram): the band certificate is vacuous for it;
 //   - TopK with k >= n-1: the answer is the whole relation anyway.
 //
-// Pruned holds no mutable per-query state outside a sync.Pool and atomic
-// counters, so it is safe for unlimited concurrent queries.
+// Pruned holds no mutable per-query state outside the scan's sync.Pool
+// and atomic counters, so it is safe for unlimited concurrent queries.
 type Pruned struct {
-	keys   []string
-	metric distance.Metric
-	exact  *Exact
-
-	// divisor is the per-edit gram-damage bound of the metric (see
-	// sig.go): SigQ for "ed", SigQ+1 for "damerau", 0 for metrics with
-	// no certified bound (every query falls back to Exact).
-	divisor int
-	sigs    []uint64 // flat signature table, SigWords words per record
-	lens    []int    // normalized rune length per record
-	nrunes  [][]rune // normalized runes per record (bounded-verify input)
-	zero    []bool   // per record: signature is all-zero
-	bands   *BandIndex
+	scan  *Scan
+	zero  []bool // per record: signature is all-zero
+	bands *BandIndex
 
 	// floors[i] is the per-query band-certificate floor E/(lens[i] + E)
 	// with E = ceil(ceil(z/2)/divisor) over record i's nonzero band count
@@ -80,8 +60,6 @@ type Pruned struct {
 	pruned     atomic.Int64
 	candidates atomic.Int64
 	fallbacks  atomic.Int64
-
-	scratch sync.Pool
 }
 
 // PrunedConfig tunes a Pruned index. The zero value selects defaults.
@@ -93,9 +71,9 @@ type PrunedConfig struct {
 }
 
 // NewPruned builds a prefiltered exact index over keys under the given
-// metric. Construction is O(n) signature hashing plus the band tables;
-// for metrics without a certified bound the tables are skipped and the
-// index is a pure delegate to Exact.
+// metric. Construction is the scan's O(n) signature hashing plus the
+// band tables; for metrics without a certified bound the tables are
+// skipped and the index is a pure delegate to Exact.
 func NewPruned(keys []string, metric distance.Metric, cfg PrunedConfig) (*Pruned, error) {
 	nb := cfg.Bands
 	if nb == 0 {
@@ -105,32 +83,22 @@ func NewPruned(keys []string, metric distance.Metric, cfg PrunedConfig) (*Pruned
 	if err != nil {
 		return nil, err
 	}
-	p := &Pruned{keys: keys, metric: metric, exact: NewExact(keys, metric)}
-	switch metric.Name() {
-	case "ed":
-		p.divisor = SigQ
-	case "damerau":
-		p.divisor = SigQ + 1
-	default:
+	s := NewScan(keys, metric)
+	p := &Pruned{scan: s}
+	if !s.Prefiltered() {
 		return p, nil
 	}
 	n := len(keys)
-	p.sigs = BuildSignatures(keys)
-	p.lens = make([]int, n)
-	p.nrunes = make([][]rune, n)
 	p.zero = make([]bool, n)
-	for i, k := range keys {
-		r := []rune(strutil.Normalize(k))
-		p.nrunes[i] = r
-		p.lens[i] = len(r)
-		sig := p.sigOf(i)
+	for i := range keys {
+		sig := s.sigOf(i)
 		p.zero[i] = sig == Signature{}
 		builder.Add(i, sig)
 	}
 	p.bands = builder.Build()
 	p.floors = make([]float64, n)
 	for i := range keys {
-		z := p.bands.NonzeroBands(p.sigOf(i))
+		z := p.bands.NonzeroBands(s.sigOf(i))
 		if z == 0 {
 			continue // zero signature: vacuous certificate, query falls back
 		}
@@ -138,14 +106,14 @@ func NewPruned(keys []string, metric distance.Metric, cfg PrunedConfig) (*Pruned
 		// least E edits; combined with the length-difference bound the
 		// normalized distance of every non-candidate is >= E/(qlen + E).
 		halfBits := (z + 1) / 2
-		e := (halfBits + p.divisor - 1) / p.divisor
-		p.floors[i] = float64(e) / float64(p.lens[i]+e)
+		e := (halfBits + s.divisor - 1) / s.divisor
+		p.floors[i] = float64(e) / float64(s.lens[i]+e)
 	}
 	return p, nil
 }
 
 // Len implements Index.
-func (p *Pruned) Len() int { return len(p.keys) }
+func (p *Pruned) Len() int { return p.scan.Len() }
 
 // ConcurrentQueries marks the index safe for concurrent queries: the
 // tables are immutable, scratch is pooled, counters are atomic.
@@ -153,7 +121,7 @@ func (p *Pruned) ConcurrentQueries() {}
 
 // Prefiltered reports whether the metric admits the certified signature
 // bound; when false every query delegates to the exact scan.
-func (p *Pruned) Prefiltered() bool { return p.divisor > 0 }
+func (p *Pruned) Prefiltered() bool { return p.scan.Prefiltered() }
 
 // PrunedCounters returns the cumulative prefilter counters: records
 // excluded by a certified bound without exact verification, records
@@ -164,154 +132,27 @@ func (p *Pruned) PrunedCounters() (pruned, candidates, fallbacks int64) {
 	return p.pruned.Load(), p.candidates.Load(), p.fallbacks.Load()
 }
 
-func (p *Pruned) sigOf(i int) Signature {
-	var s Signature
-	copy(s[:], p.sigs[i*SigWords:(i+1)*SigWords])
-	return s
-}
-
-// prunedScratch is one query's worth of reusable scan buffers.
-type prunedScratch struct {
-	cands    []int32   // band candidate IDs
-	candLbs  []float64 // per-candidate lower bounds
-	candPos  []int32   // candidate positions sorted by (bound, ID)
-	lbs      []float64 // full-scan lower bounds
-	bucketOf []uint8   // full-scan counting-sort buckets
-	order    []int32   // full-scan verification order
-	ed       distance.BoundedScratch
-}
-
-func (p *Pruned) getScratch() *prunedScratch {
-	sc, _ := p.scratch.Get().(*prunedScratch)
-	if sc == nil {
-		sc = &prunedScratch{}
-	}
-	n := len(p.keys)
-	if cap(sc.lbs) < n {
-		sc.lbs = make([]float64, n)
-		sc.bucketOf = make([]uint8, n)
-		sc.order = make([]int32, n)
-	}
-	sc.lbs = sc.lbs[:n]
-	sc.bucketOf = sc.bucketOf[:n]
-	sc.order = sc.order[:n]
-	return sc
-}
-
-// lowerBound computes the certified per-pair lower bound on the
-// normalized distance between indexed records q (signature qsig, length
-// qlen) and i: the larger of the gram-damage bound and the free
-// length-difference bound, over the pair's true denominator.
-func (p *Pruned) lowerBound(qsig Signature, qlen, i int) float64 {
-	qm, rm := MissingBitsFlat(p.sigs, i, qsig)
-	m := qm
-	if rm > m {
-		m = rm
-	}
-	denom := qlen
-	if p.lens[i] > denom {
-		denom = p.lens[i]
-	}
-	if denom == 0 {
-		return 0
-	}
-	edits := (m + p.divisor - 1) / p.divisor
-	if ld := qlen - p.lens[i]; ld > edits {
-		edits = ld
-	} else if -ld > edits {
-		edits = -ld
-	}
-	return float64(edits) / float64(denom)
-}
-
-// verifyDist computes the exact normalized distance between records qi
-// and i with a bounded kernel capped at maxEd edit operations. ok=false
-// proves the true edit count strictly exceeds maxEd (so the true
-// distance strictly exceeds maxEd/denom). The arithmetic — float64 edit
-// count over float64 max normalized length, 0 for an empty denominator —
-// is exactly distance.Edit/Damerau's, so returned values are
-// bit-identical to metric.Distance.
-func (p *Pruned) verifyDist(qi, i, denom, maxEd int, sc *prunedScratch) (float64, bool) {
-	if denom == 0 {
-		return 0, true
-	}
-	var d int
-	if p.divisor == SigQ+1 {
-		d = distance.BoundedOSARunes(p.nrunes[qi], p.nrunes[i], maxEd, &sc.ed)
-	} else {
-		d = distance.BoundedLevenshteinRunes(p.nrunes[qi], p.nrunes[i], maxEd, &sc.ed)
-	}
-	if d > maxEd {
-		return 0, false
-	}
-	return float64(d) / float64(denom), true
-}
-
-// pairDenom is the normalized-distance denominator of a record pair.
-func (p *Pruned) pairDenom(a, b int) int {
-	if p.lens[a] > p.lens[b] {
-		return p.lens[a]
-	}
-	return p.lens[b]
-}
-
-// capEdits shrinks a kernel cap to just above limit*denom when that is
-// tighter. Any true edit count e with e/denom <= limit satisfies
-// e <= floor(limit*denom)+1, so every record that could still enter the
-// answer (ties included) gets its exact distance; an overflow proves
-// distance > limit.
-func capEdits(maxEd, denom int, limit float64) int {
-	if f := limit * float64(denom); f < float64(denom) {
-		if c := int(f) + 1; c < maxEd {
-			return c
-		}
-	}
-	return maxEd
-}
-
-// topkAcc maintains the running top-k, ascending by (distance, ID) — the
-// same total order as Exact's heap, so the final slice is bit-identical.
-type topkAcc struct {
-	k    int
-	best []Neighbor
-}
-
-func (a *topkAcc) full() bool     { return len(a.best) == a.k }
-func (a *topkAcc) worst() float64 { return a.best[len(a.best)-1].Dist }
-
-func (a *topkAcc) insert(nb Neighbor) {
-	pos := sort.Search(len(a.best), func(i int) bool {
-		if a.best[i].Dist != nb.Dist {
-			return a.best[i].Dist > nb.Dist
-		}
-		return a.best[i].ID > nb.ID
-	})
-	if len(a.best) < a.k {
-		a.best = append(a.best, Neighbor{})
-	} else if pos == len(a.best) {
-		return
-	}
-	copy(a.best[pos+1:], a.best[pos:])
-	a.best[pos] = nb
-}
-
 // TopK implements Index, bit-for-bit identical to Exact.TopK.
 func (p *Pruned) TopK(id, k int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	n := len(p.keys)
-	if p.divisor == 0 || k >= n-1 || p.zero[id] {
+	s := p.scan
+	n := s.Len()
+	if !s.Prefiltered() || k >= n-1 || p.zero[id] {
 		p.fallbacks.Add(1)
-		return p.exact.TopK(id, k)
+		return s.exact.TopK(id, k)
 	}
-	sc := p.getScratch()
-	defer p.scratch.Put(sc)
-	qsig := p.sigOf(id)
+	sc := s.getScratch()
+	defer s.scratch.Put(sc)
+	qsig := s.sigOf(id)
 	if ns, ok := p.topKBanded(id, qsig, k, sc); ok {
 		return ns
 	}
-	return p.scanTopK(id, qsig, k, sc)
+	ns, verified := s.topK(qsig, s.nrunes[id], id, k, sc)
+	p.pruned.Add(int64(n - 1 - verified))
+	p.candidates.Add(int64(verified))
+	return ns
 }
 
 // topKBanded attempts the band-certified top-k: verify only the band
@@ -319,12 +160,13 @@ func (p *Pruned) TopK(id, k int) []Neighbor {
 // >= floors[id] — lies strictly beyond the worst retained distance. On
 // any failure it reports ok=false and the caller runs the full scan
 // (with a fresh accumulator, so nothing is double-inserted).
-func (p *Pruned) topKBanded(id int, qsig Signature, k int, sc *prunedScratch) ([]Neighbor, bool) {
+func (p *Pruned) topKBanded(id int, qsig Signature, k int, sc *scanScratch) ([]Neighbor, bool) {
 	floor := p.floors[id]
 	if floor == 0 {
 		return nil, false
 	}
-	n := len(p.keys)
+	s := p.scan
+	n := s.Len()
 	sc.cands = p.bands.AppendCandidates(qsig, sc.cands[:0])
 	cands := sc.cands
 	// The candidate set includes id itself; certification needs k full
@@ -339,12 +181,13 @@ func (p *Pruned) topKBanded(id int, qsig Signature, k int, sc *prunedScratch) ([
 	}
 	lbs := sc.candLbs[:0]
 	pos := sc.candPos[:0]
-	qlen := p.lens[id]
+	qr := s.nrunes[id]
+	qlen := len(qr)
 	for ci, u := range cands {
 		if int(u) == id {
 			continue
 		}
-		lbs = append(lbs, p.lowerBound(qsig, qlen, int(u)))
+		lbs = append(lbs, s.lowerBound(qsig, qlen, int(u)))
 		pos = append(pos, int32(ci))
 	}
 	sc.candLbs, sc.candPos = lbs, pos
@@ -359,19 +202,16 @@ func (p *Pruned) topKBanded(id int, qsig Signature, k int, sc *prunedScratch) ([
 	verified := 0
 	for oi, ci := range pos {
 		u := int(cands[ci])
-		lb := lbs[oi]
-		if acc.full() {
-			if lb > acc.worst() {
-				break // bounds ascend: nothing later qualifies either
-			}
-		}
-		denom := p.pairDenom(id, u)
+		denom := s.denom(qlen, u)
 		maxEd := denom
 		if acc.full() {
-			maxEd = capEdits(maxEd, denom, acc.worst())
+			if lbs[oi] > acc.worst() {
+				break // bounds ascend: nothing later qualifies either
+			}
+			maxEd = capEdits(denom, acc.worst())
 		}
 		verified++
-		if d, ok := p.verifyDist(id, u, denom, maxEd, sc); ok {
+		if d, ok := s.verifyDist(qr, u, denom, maxEd, sc); ok {
 			acc.insert(Neighbor{ID: u, Dist: d})
 		}
 	}
@@ -404,89 +244,14 @@ func (o *candOrder) Swap(i, j int) {
 	o.pos[i], o.pos[j] = o.pos[j], o.pos[i]
 }
 
-// boundBuckets quantizes lower bounds for the full scan's counting sort;
-// bounds live in [0, 1] for the certified metrics.
-const boundBuckets = 256
-
-// scanTopK is the certified linear scan: one bit-parallel signature pass
-// bounds every record, a counting sort orders them by bound, and exact
-// verification proceeds in that order under the same strict-comparison
-// pruning discipline as the online query path.
-func (p *Pruned) scanTopK(id int, qsig Signature, k int, sc *prunedScratch) []Neighbor {
-	n := len(p.keys)
-	qlen := p.lens[id]
-	lbs, bucketOf, order := sc.lbs, sc.bucketOf, sc.order
-	var counts [boundBuckets + 1]int32
-	for i := 0; i < n; i++ {
-		lb := p.lowerBound(qsig, qlen, i)
-		lbs[i] = lb
-		b := int(lb * boundBuckets)
-		if b >= boundBuckets {
-			b = boundBuckets - 1
-		}
-		bucketOf[i] = uint8(b)
-		counts[b+1]++
-	}
-	for b := 1; b <= boundBuckets; b++ {
-		counts[b] += counts[b-1]
-	}
-	next := counts // array copy: running placement cursors
-	for i := 0; i < n; i++ {
-		b := bucketOf[i]
-		order[next[b]] = int32(i)
-		next[b]++
-	}
-
-	acc := topkAcc{k: k, best: make([]Neighbor, 0, k)}
-	verified, seenSelf := 0, false
-	for posi := 0; posi < n; posi++ {
-		i := int(order[posi])
-		if i == id {
-			seenSelf = true
-			continue
-		}
-		if acc.full() {
-			worst := acc.worst()
-			// Buckets ascend; once a bucket's floor exceeds the retained
-			// worst, no later record qualifies.
-			if float64(bucketOf[i])/boundBuckets > worst {
-				rest := n - posi
-				if !seenSelf {
-					rest--
-				}
-				p.pruned.Add(int64(rest))
-				p.candidates.Add(int64(verified))
-				return acc.best
-			}
-			if lbs[i] > worst {
-				p.pruned.Add(1)
-				continue
-			}
-		}
-		denom := p.pairDenom(id, i)
-		maxEd := denom
-		if acc.full() {
-			maxEd = capEdits(maxEd, denom, acc.worst())
-		}
-		verified++
-		if d, ok := p.verifyDist(id, i, denom, maxEd, sc); ok {
-			acc.insert(Neighbor{ID: i, Dist: d})
-		}
-	}
-	p.candidates.Add(int64(verified))
-	return acc.best
-}
-
 // Range implements Index, bit-for-bit identical to Exact.Range.
 func (p *Pruned) Range(id int, theta float64) []Neighbor {
-	if p.divisor == 0 || p.zero[id] {
+	if !p.scan.Prefiltered() || p.zero[id] {
 		p.fallbacks.Add(1)
-		return p.exact.Range(id, theta)
+		return p.scan.exact.Range(id, theta)
 	}
-	sc := p.getScratch()
-	defer p.scratch.Put(sc)
 	ns := []Neighbor{} // non-nil even when empty, like Exact
-	p.forWithin(id, theta, sc, func(u int, d float64) {
+	p.forWithin(id, theta, func(u int, d float64) {
 		ns = append(ns, Neighbor{ID: u, Dist: d})
 	})
 	sortNeighbors(ns)
@@ -496,20 +261,17 @@ func (p *Pruned) Range(id int, theta float64) []Neighbor {
 // GrowthCount implements Index, bit-for-bit identical to
 // Exact.GrowthCount.
 func (p *Pruned) GrowthCount(id int, r float64) int {
-	if p.divisor == 0 || p.zero[id] {
+	if !p.scan.Prefiltered() || p.zero[id] {
 		p.fallbacks.Add(1)
-		return p.exact.GrowthCount(id, r)
+		return p.scan.exact.GrowthCount(id, r)
 	}
-	n := len(p.keys)
 	if r > 1 {
 		// Normalized edit distances never exceed 1 (edit count <= longer
 		// length): the sphere holds the whole relation.
-		return n - 1
+		return p.Len() - 1
 	}
-	sc := p.getScratch()
-	defer p.scratch.Put(sc)
 	count := 0
-	p.forWithin(id, r, sc, func(int, float64) { count++ })
+	p.forWithin(id, r, func(int, float64) { count++ })
 	return count
 }
 
@@ -520,20 +282,24 @@ func (p *Pruned) GrowthCount(id int, r float64) int {
 // are examined; otherwise the whole relation is scanned under the
 // per-pair bound. Either way a record is skipped only on a certified
 // proof that d >= theta.
-func (p *Pruned) forWithin(id int, theta float64, sc *prunedScratch, yield func(u int, d float64)) {
-	n := len(p.keys)
-	qsig := p.sigOf(id)
-	qlen := p.lens[id]
+func (p *Pruned) forWithin(id int, theta float64, yield func(u int, d float64)) {
+	s := p.scan
+	sc := s.getScratch()
+	defer s.scratch.Put(sc)
+	n := s.Len()
+	qsig := s.sigOf(id)
+	qr := s.nrunes[id]
+	qlen := len(qr)
 	verified := 0
 	examine := func(u int) {
-		if p.lowerBound(qsig, qlen, u) >= theta {
+		if s.lowerBound(qsig, qlen, u) >= theta {
 			p.pruned.Add(1)
 			return
 		}
-		denom := p.pairDenom(id, u)
-		maxEd := capEdits(denom, denom, theta)
+		denom := s.denom(qlen, u)
+		maxEd := capEdits(denom, theta)
 		verified++
-		if d, ok := p.verifyDist(id, u, denom, maxEd, sc); ok && d < theta {
+		if d, ok := s.verifyDist(qr, u, denom, maxEd, sc); ok && d < theta {
 			yield(u, d)
 		}
 	}
@@ -556,78 +322,4 @@ func (p *Pruned) forWithin(id int, theta float64, sc *prunedScratch, yield func(
 		}
 	}
 	p.candidates.Add(int64(verified))
-}
-
-// TopKCandidates returns a certified superset of the IDs in
-// TopK(id, k), ascending. When the band certificate holds — the k-th
-// best verified distance among band candidates sits strictly below the
-// query's floor, proving every non-candidate too far to qualify — the
-// superset is the band candidate set; otherwise it is every other ID
-// (obtaining the certificate requires the same verification work TopK
-// performs, so this is a diagnostic and testing surface, not a way to
-// skip it).
-func (p *Pruned) TopKCandidates(id, k int) []int {
-	if k <= 0 {
-		return nil
-	}
-	n := len(p.keys)
-	if p.divisor == 0 || k >= n-1 || p.zero[id] {
-		return allIDsExcept(n, id)
-	}
-	sc := p.getScratch()
-	defer p.scratch.Put(sc)
-	if _, ok := p.topKBanded(id, p.sigOf(id), k, sc); ok {
-		out := make([]int, 0, len(sc.cands)-1)
-		for _, u := range sc.cands {
-			if int(u) != id {
-				out = append(out, int(u))
-			}
-		}
-		return out
-	}
-	return allIDsExcept(n, id)
-}
-
-// WithinCandidates returns a certified superset of
-// {u != id : d(u, id) < theta}, ascending: every omitted record carries
-// a sound lower bound of at least theta. Band retrieval supplies the
-// candidate pool when theta is at or below the certificate floor; the
-// per-pair signature bound filters in every case. For metrics without a
-// certified bound the superset is every other ID.
-func (p *Pruned) WithinCandidates(id int, theta float64) []int {
-	n := len(p.keys)
-	if p.divisor == 0 || p.zero[id] {
-		return allIDsExcept(n, id)
-	}
-	sc := p.getScratch()
-	defer p.scratch.Put(sc)
-	qsig := p.sigOf(id)
-	qlen := p.lens[id]
-	out := []int{}
-	keep := func(u int) {
-		if u != id && p.lowerBound(qsig, qlen, u) < theta {
-			out = append(out, u)
-		}
-	}
-	if fl := p.floors[id]; fl > 0 && theta <= fl {
-		sc.cands = p.bands.AppendCandidates(qsig, sc.cands[:0])
-		for _, u := range sc.cands {
-			keep(int(u))
-		}
-		return out
-	}
-	for u := 0; u < n; u++ {
-		keep(u)
-	}
-	return out
-}
-
-func allIDsExcept(n, id int) []int {
-	out := make([]int, 0, n-1)
-	for u := 0; u < n; u++ {
-		if u != id {
-			out = append(out, u)
-		}
-	}
-	return out
 }

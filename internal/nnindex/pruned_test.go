@@ -150,44 +150,10 @@ func TestPrunedConfigValidation(t *testing.T) {
 	}
 }
 
-// TestPrunedCandidateSupersets: the exported candidate surfaces must be
-// certified supersets of the true answers.
-func TestPrunedCandidateSupersets(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	keys := append(typoCorpus(r, 60), "", "...")
-	p := newPruned(t, keys, distance.Edit{})
-	e := NewExact(keys, distance.Edit{})
-	for id := 0; id < len(keys); id++ {
-		for _, k := range []int{1, 3, 5} {
-			cands := toSet(p.TopKCandidates(id, k))
-			for _, nb := range e.TopK(id, k) {
-				if !cands[nb.ID] {
-					t.Fatalf("TopKCandidates(%d, %d) misses true neighbor %d", id, k, nb.ID)
-				}
-			}
-		}
-		for _, theta := range []float64{0.05, 0.2, 0.7} {
-			cands := toSet(p.WithinCandidates(id, theta))
-			for _, nb := range e.Range(id, theta) {
-				if !cands[nb.ID] {
-					t.Fatalf("WithinCandidates(%d, %g) misses true neighbor %d", id, theta, nb.ID)
-				}
-			}
-		}
-	}
-}
-
-func toSet(ids []int) map[int]bool {
-	m := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
-}
-
 // TestPrunedConcurrentQueries hammers one index from many goroutines —
-// the scratch pool and atomic counters are its only mutable state — and
-// checks every answer against a serial exact run. Run under -race in CI.
+// the scan's scratch pool and atomic counters are its only mutable state,
+// and by-value Nearest calls share that pool — and checks every answer
+// against a serial exact run. Run under -race in CI.
 func TestPrunedConcurrentQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	keys := append(typoCorpus(r, 80), "", "x")
@@ -208,6 +174,11 @@ func TestPrunedConcurrentQueries(t *testing.T) {
 				}
 				if got, want := p.Range(id, 0.25), e.Range(id, 0.25); !reflect.DeepEqual(got, want) {
 					errs <- "Range diverged under concurrency"
+					return
+				}
+				q := keys[id] + "z"
+				if got, _ := p.scan.Nearest(q, 3); !reflect.DeepEqual(got, e.nearest(q, -1, 3)) {
+					errs <- "Nearest diverged under concurrency"
 					return
 				}
 			}

@@ -5,9 +5,9 @@
 //
 // A Snapshot holds the solved partition three ways at once — a
 // key→records hash for exact-match lookups, a record→group map plus
-// group membership lists for answering with full group context, and a
-// flat array-of-uint64 bit-signature table (internal/nnindex's q-gram
-// signature kernel) that prunes the nearest-candidate scan when no exact
+// group membership lists for answering with full group context, and an
+// nnindex.Scan (flat q-gram signature table, normalized runes, bounded
+// kernels) that answers the nearest-candidate search when no exact
 // match exists. A Snapshot is deeply immutable after Build: every field
 // is written once and never mutated, so any number of goroutines may
 // Lookup concurrently with zero synchronization. Publication is the
@@ -18,18 +18,16 @@
 //
 // The candidate search is exact, not approximate: its results are
 // bit-for-bit what a linear scan of the true metric over every record
-// would return. Signatures only prune; exact verification decides.
-// A record is skipped only when a metric-specific lower bound proves its
-// true distance exceeds the current k-th best — the bound (see
-// nnindex.MissingBits) is sound for the edit-family metrics "ed" and
-// "damerau", so a skipped record can never belong to the answer. For
-// metrics with no certified bound the prefilter disables itself and
-// every record is verified; slower, still exact.
+// would return. nnindex.Scan carries the proof: signatures only prune,
+// exact verification decides, and a record is skipped only when a
+// certified lower bound proves its true distance exceeds the current
+// k-th best. The bound exists for the edit-family metrics "ed" and
+// "damerau"; for other metrics the scan verifies every record — slower,
+// still exact.
 package querysnap
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"fuzzydup/internal/distance"
@@ -88,51 +86,18 @@ type Snapshot struct {
 
 	keys    []string // joined field strings, index-parallel with rids
 	rids    []int64
-	lens    []int    // normalized rune length per key (bound denominators)
-	nrunes  [][]rune // normalized runes per key (bounded-verify inputs); nil unless prefiltered
-	groupOf []int    // record index -> group index
-	groups  [][]int  // group index -> sorted member record indexes
-	reps    []int    // group index -> representative record index
+	groupOf []int   // record index -> group index
+	groups  [][]int // group index -> sorted member record indexes
+	reps    []int   // group index -> representative record index
 
 	byKey map[string][]int // exact-match buckets: key -> record indexes
 
-	sigs   []uint64 // flat signature table, nnindex.SigWords per record
 	metric distance.Metric
-	// divisor is the per-edit gram-damage bound of the metric (nnindex
-	// sig kernel); 0 means no certified bound — prefilter disabled, full
-	// verify.
-	divisor int
-
-	// scratch pools per-lookup scan buffers (bounds, counting-sort
-	// arrays, DP rows). Pooling is the only mutable state a Snapshot
+	// scan answers misses: the certified nearest-candidate search over
+	// keys. Its scratch pool is the only mutable state a Snapshot
 	// carries, and sync.Pool makes it safe under the lock-free read
 	// contract.
-	scratch sync.Pool
-}
-
-// scanScratch is one lookup's worth of reusable candidate-scan buffers.
-type scanScratch struct {
-	lbs      []float64
-	bucketOf []uint8
-	order    []int32
-	ed       distance.BoundedScratch
-}
-
-func (s *Snapshot) getScratch() *scanScratch {
-	sc, _ := s.scratch.Get().(*scanScratch)
-	if sc == nil {
-		sc = &scanScratch{}
-	}
-	n := len(s.keys)
-	if cap(sc.lbs) < n {
-		sc.lbs = make([]float64, n)
-		sc.bucketOf = make([]uint8, n)
-		sc.order = make([]int32, n)
-	}
-	sc.lbs = sc.lbs[:n]
-	sc.bucketOf = sc.bucketOf[:n]
-	sc.order = sc.order[:n]
-	return sc
+	scan *nnindex.Scan
 }
 
 // Build constructs a snapshot. The config's slices are copied or
@@ -150,18 +115,14 @@ func Build(cfg Config) (*Snapshot, error) {
 		params:  cfg.Params,
 		keys:    make([]string, n),
 		rids:    append([]int64(nil), cfg.RIDs...),
-		lens:    make([]int, n),
 		groupOf: make([]int, n),
 		groups:  make([][]int, len(cfg.Groups)),
 		reps:    append([]int(nil), cfg.Reps...),
 		byKey:   make(map[string][]int, n),
 	}
-	norm := make([][]rune, n)
 	for i, rec := range cfg.Records {
 		k := strutil.JoinFields(rec)
 		s.keys[i] = k
-		norm[i] = []rune(strutil.Normalize(k))
-		s.lens[i] = len(norm[i])
 		s.byKey[k] = append(s.byKey[k], i)
 	}
 	for gi, g := range cfg.Groups {
@@ -177,16 +138,7 @@ func Build(cfg Config) (*Snapshot, error) {
 		return nil, err
 	}
 	s.metric = metric
-	s.sigs = nnindex.BuildSignatures(s.keys)
-	switch metric.Name() {
-	case "ed":
-		s.divisor = nnindex.SigQ
-	case "damerau":
-		s.divisor = nnindex.SigQ + 1
-	}
-	if s.divisor > 0 {
-		s.nrunes = norm
-	}
+	s.scan = nnindex.NewScan(s.keys, metric)
 	return s, nil
 }
 
@@ -219,7 +171,7 @@ func (s *Snapshot) Groups() int { return len(s.groups) }
 // Prefiltered reports whether the metric admits the certified signature
 // bound (the prefilter actually prunes; otherwise lookups verify every
 // record).
-func (s *Snapshot) Prefiltered() bool { return s.divisor > 0 }
+func (s *Snapshot) Prefiltered() bool { return s.scan.Prefiltered() }
 
 // Enumeration accessors, used by the SQL catalog to expose the solved
 // partition as virtual-table rows. Returned slices are the snapshot's
@@ -327,175 +279,16 @@ func (s *Snapshot) Lookup(record []string, k int) Result {
 	if k <= 0 || len(s.keys) == 0 {
 		return res
 	}
-	if k > len(s.keys) {
-		k = len(s.keys)
-	}
-
-	// best is the current top-k, ascending (dist, idx); worst = last.
-	best := make([]scored, 0, k)
-	insert := func(c scored) {
-		pos := sort.Search(len(best), func(i int) bool {
-			if best[i].dist != c.dist {
-				return best[i].dist > c.dist
-			}
-			return best[i].idx > c.idx
-		})
-		if len(best) < k {
-			best = append(best, scored{})
-		} else if pos == len(best) {
-			return
-		}
-		copy(best[pos+1:], best[pos:])
-		best[pos] = c
-	}
-
-	res.Stats.Scanned = len(s.keys)
-	if s.divisor == 0 {
-		// No certified bound for this metric: verify everything.
-		for i, rk := range s.keys {
-			insert(scored{idx: i, dist: s.metric.Distance(key, rk)})
-		}
-		res.Stats.Verified = len(s.keys)
-	} else {
-		s.scanPruned(key, k, &res.Stats, &best, insert)
-	}
-
-	res.Candidates = make([]Candidate, len(best))
-	for i, c := range best {
+	nbs, verified := s.scan.Nearest(key, k)
+	res.Stats = Stats{Scanned: len(s.keys), Verified: verified, Pruned: len(s.keys) - verified}
+	res.Candidates = make([]Candidate, len(nbs))
+	for i, nb := range nbs {
 		res.Candidates[i] = Candidate{
-			Index:    c.idx,
-			RID:      s.rids[c.idx],
-			Distance: c.dist,
-			Group:    s.groupInfo(s.groupOf[c.idx]),
+			Index:    nb.ID,
+			RID:      s.rids[nb.ID],
+			Distance: nb.Dist,
+			Group:    s.groupInfo(s.groupOf[nb.ID]),
 		}
 	}
 	return res
-}
-
-// scored is one verified candidate during a lookup's top-k selection.
-type scored struct {
-	idx  int
-	dist float64
-}
-
-// boundBuckets quantizes lower bounds for the counting sort of the
-// pruned scan; bounds live in [0, 1] for the certified metrics, and
-// anything >= 1 lands in the last bucket.
-const boundBuckets = 256
-
-// scanPruned is the prefiltered candidate scan: a bit-parallel signature
-// pass computes every record's certified lower bound (the larger of the
-// gram-damage bound and the free length-difference bound — each edit
-// changes the length by at most one, for OSA too), a counting sort
-// orders records by bound, and exact verification proceeds in that order
-// so the running k-th best distance tightens as fast as possible.
-//
-// Two mechanisms prune, both provably lossless:
-//
-//   - A record is skipped outright only when its lower bound strictly
-//     exceeds the current worst retained distance; bound <= true
-//     distance proves it cannot displace any retained candidate,
-//     including on (distance, index) ties, which a strict comparison
-//     leaves to verification.
-//   - Verification itself is banded: the bounded kernels compute the
-//     exact edit count only up to cap = floor(worst*denom)+1. Any true
-//     distance at most worst has edit count at most that cap (ties
-//     included), so every candidate that could enter the answer gets its
-//     exact distance; a kernel overflow proves distance > worst.
-func (s *Snapshot) scanPruned(key string, k int, st *Stats, best *[]scored, insert func(scored)) {
-	qsig := nnindex.NewSignature(key)
-	qr := []rune(strutil.Normalize(key))
-	qlen := len(qr)
-	n := len(s.keys)
-
-	sc := s.getScratch()
-	defer s.scratch.Put(sc)
-
-	// Counting sort by quantized bound: one pass to bucket, one prefix
-	// sum, one placement pass — pooled flat buffers, no per-bucket
-	// slices.
-	lbs := sc.lbs
-	bucketOf := sc.bucketOf
-	var counts [boundBuckets + 1]int32
-	for i := 0; i < n; i++ {
-		qm, rm := nnindex.MissingBitsFlat(s.sigs, i, qsig)
-		m := qm
-		if rm > m {
-			m = rm
-		}
-		denom := qlen
-		if s.lens[i] > denom {
-			denom = s.lens[i]
-		}
-		lb := 0.0
-		if denom > 0 {
-			edits := (m + s.divisor - 1) / s.divisor // ceil: signature bound
-			if ld := qlen - s.lens[i]; ld > edits {
-				edits = ld // length bound: >= |la-lb| edits
-			} else if -ld > edits {
-				edits = -ld
-			}
-			lb = float64(edits) / float64(denom)
-		}
-		lbs[i] = lb
-		b := int(lb * boundBuckets)
-		if b >= boundBuckets {
-			b = boundBuckets - 1
-		}
-		bucketOf[i] = uint8(b)
-		counts[b+1]++
-	}
-	for b := 1; b <= boundBuckets; b++ {
-		counts[b] += counts[b-1]
-	}
-	order := sc.order
-	next := counts // array copy: running placement cursors
-	for i := 0; i < n; i++ {
-		b := bucketOf[i]
-		order[next[b]] = int32(i)
-		next[b]++
-	}
-
-	osa := s.divisor == nnindex.SigQ+1
-	for pos := 0; pos < n; pos++ {
-		i := int(order[pos])
-		if len(*best) == k {
-			worst := (*best)[k-1].dist
-			// Bounds arrive in ascending bucket order; once a bucket's
-			// floor exceeds the retained worst, nothing later qualifies.
-			if float64(bucketOf[i])/boundBuckets > worst {
-				st.Pruned += n - pos
-				return
-			}
-			if lbs[i] > worst {
-				st.Pruned++
-				continue
-			}
-		}
-		denom := qlen
-		if s.lens[i] > denom {
-			denom = s.lens[i]
-		}
-		st.Verified++
-		if denom == 0 {
-			insert(scored{idx: i, dist: 0})
-			continue
-		}
-		maxEd := denom // edit count never exceeds the longer length
-		if len(*best) == k {
-			if c := int((*best)[k-1].dist*float64(denom)) + 1; c < maxEd {
-				maxEd = c
-			}
-		}
-		var d int
-		if osa {
-			d = distance.BoundedOSARunes(qr, s.nrunes[i], maxEd, &sc.ed)
-		} else {
-			d = distance.BoundedLevenshteinRunes(qr, s.nrunes[i], maxEd, &sc.ed)
-		}
-		if d > maxEd {
-			continue // proven further than the retained worst
-		}
-		insert(scored{idx: i, dist: float64(d) / float64(denom)})
-	}
 }

@@ -182,6 +182,13 @@ func TestLookupGroupsPartition(t *testing.T) {
 	}
 }
 
+// scored is one record's exact distance from a query in the reference
+// scan.
+type scored struct {
+	idx  int
+	dist float64
+}
+
 // linearTopK is the reference the prefilter is checked against: verify
 // every record with the true metric, keep the k smallest under the same
 // (distance, index) order.

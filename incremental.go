@@ -193,17 +193,5 @@ func (inc *Incremental) Representative(group []int) int {
 	if len(group) == 0 {
 		panic("fuzzydup: representative of empty group")
 	}
-	best, bestTotal := group[0], -1.0
-	for _, cand := range group {
-		total := 0.0
-		for _, other := range group {
-			if other != cand {
-				total += inc.Distance(cand, other)
-			}
-		}
-		if bestTotal < 0 || total < bestTotal || (total == bestTotal && cand < best) {
-			best, bestTotal = cand, total
-		}
-	}
-	return best
+	return core.Medoid(group, inc.Distance)
 }

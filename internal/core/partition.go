@@ -272,3 +272,22 @@ func Diameter(idx *nnindex.Exact, group []int) float64 {
 	}
 	return d
 }
+
+// Medoid returns the member of a non-empty group with the smallest total
+// distance to the other members, ties broken by the lowest ID: the
+// representative a duplicate group collapses to on every dedup path.
+func Medoid(group []int, dist func(a, b int) float64) int {
+	best, bestTotal := group[0], -1.0
+	for _, cand := range group {
+		total := 0.0
+		for _, other := range group {
+			if other != cand {
+				total += dist(cand, other)
+			}
+		}
+		if bestTotal < 0 || total < bestTotal || (total == bestTotal && cand < best) {
+			best, bestTotal = cand, total
+		}
+	}
+	return best
+}

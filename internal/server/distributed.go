@@ -114,10 +114,12 @@ func (e *Engine) solveDistributed(j *job) error {
 			return err
 		}
 
-		e.metrics.phase1Duration.ObserveDuration(res.SolveTime)
-		e.metrics.phase2Duration.ObserveDuration(res.MergeTime)
-		e.metrics.blocksSolved.Add(int64(res.BlocksSolved))
-		e.metrics.boundaryResolves.Add(int64(res.BoundaryResolves))
+		e.metrics.observePoint(fuzzydup.RunReport{
+			Phase1:           res.SolveTime,
+			Phase2:           res.MergeTime,
+			BlocksSolved:     res.BlocksSolved,
+			BoundaryResolves: res.BoundaryResolves,
+		})
 
 		report.Solves++
 		report.Phase1 += res.SolveTime
@@ -136,99 +138,61 @@ func (e *Engine) solveDistributed(j *job) error {
 		groups := fuzzydup.Groups(res.Groups)
 		reps := make([]int, len(groups))
 		for i, g := range groups {
-			reps[i] = representative(keys, counter, g)
+			// The medoid Deduper.Representative picks, so distributed
+			// results render identically to batch results.
+			reps[i] = core.Medoid(g, func(a, b int) float64 { return counter.Distance(keys[a], keys[b]) })
 		}
-		results[idx] = SweepResult{
-			K:               pt.K,
-			Theta:           pt.Theta,
-			C:               pt.C,
-			Groups:          groups,
-			Duplicates:      nonNil(groups.Duplicates()),
-			Pairs:           nonNilPairs(groups.Pairs()),
-			Representatives: reps,
-		}
-		j.mu.Lock()
-		j.done++
-		j.mu.Unlock()
+		results[idx] = j.solved(pt, groups, reps)
 	}
-
-	j.mu.Lock()
-	j.records = len(records)
-	j.results = results
-	j.snapRecords = records
-	j.snapRIDs = rids
-	j.snapRev = rev
-	j.mu.Unlock()
+	j.stash(records, rids, rev, results)
 	return nil
 }
 
-// representative returns the medoid of a group under the metric: the
-// member with the smallest total distance to the others, ties broken by
-// the lowest record index — the same choice Deduper.Representative makes,
-// so distributed results render identically to batch results.
-func representative(keys []string, m distance.Metric, group []int) int {
-	best, bestTotal := group[0], -1.0
-	for _, cand := range group {
-		total := 0.0
-		for _, other := range group {
-			if other != cand {
-				total += m.Distance(keys[cand], keys[other])
-			}
-		}
-		if bestTotal < 0 || total < bestTotal || (total == bestTotal && cand < best) {
-			best, bestTotal = cand, total
-		}
-	}
-	return best
+// The cluster hooks: each role declares one "cluster" JSON entry,
+// evaluated at read time, and its Prometheus families. A coordinator
+// exports its membership view plus the fleet roll-up; a worker exports
+// its block-solve counters. The two sides keep their own names (JSON
+// "solves", Prometheus dedupd_worker_block_solves_total), which dedupstat
+// and the coordinator's roll-up read.
+
+func (s *Server) coordinatorFamilies(pw *promtext.Writer) {
+	s.coord.WriteCoordinatorFamilies(pw)
+	s.coord.WriteRollup(context.Background(), pw)
 }
 
-// clusterFamilies appends the node's role-specific cluster families to
-// the Prometheus exposition (wired into Metrics.clusterProm by New). A
-// coordinator exports its membership view plus the fleet roll-up; a
-// worker exports its block-solve counters.
-func (s *Server) clusterFamilies(pw *promtext.Writer) {
-	if s.coord != nil {
-		s.coord.WriteCoordinatorFamilies(pw)
-		s.coord.WriteRollup(context.Background(), pw)
-		return
-	}
-	if w := s.worker; w != nil {
-		pw.Counter("dedupd_worker_block_solves_total",
-			"Remote block solves executed by this worker.",
-			promtext.Sample{Value: float64(w.Solves.Load())})
-		pw.Counter("dedupd_worker_block_cache_hits_total",
-			"Solve requests replayed from the idempotency cache.",
-			promtext.Sample{Value: float64(w.CacheHits.Load())})
-		pw.Counter("dedupd_worker_block_solves_rejected_total",
-			"Solve requests refused while draining.",
-			promtext.Sample{Value: float64(w.Rejected.Load())})
-		pw.Histogram("dedupd_worker_block_solve_duration_ms",
-			"Worker-side block solve durations.",
-			promtext.HistogramSample{Snapshot: w.SolveDuration.Snapshot()})
+func (s *Server) coordinatorJSON() any {
+	return map[string]any{
+		"role":              "coordinator",
+		"workers":           s.coord.Workers(),
+		"workers_alive":     s.coord.WorkersAlive(),
+		"blocks_reassigned": s.coord.BlocksReassigned.Load(),
+		"remote_errors":     s.coord.RemoteErrors.Load(),
+		"local_fallbacks":   s.coord.LocalFallbacks.Load(),
 	}
 }
 
-// clusterJSON is the "cluster" entry of the JSON metrics map, evaluated
-// at read time.
-func (s *Server) clusterJSON() any {
-	switch {
-	case s.coord != nil:
-		return map[string]any{
-			"role":              "coordinator",
-			"workers":           s.coord.Workers(),
-			"workers_alive":     s.coord.WorkersAlive(),
-			"blocks_reassigned": s.coord.BlocksReassigned.Load(),
-			"remote_errors":     s.coord.RemoteErrors.Load(),
-			"local_fallbacks":   s.coord.LocalFallbacks.Load(),
-		}
-	case s.worker != nil:
-		return map[string]any{
-			"role":       "worker",
-			"draining":   s.worker.Draining(),
-			"solves":     s.worker.Solves.Load(),
-			"cache_hits": s.worker.CacheHits.Load(),
-			"rejected":   s.worker.Rejected.Load(),
-		}
+func (s *Server) workerFamilies(pw *promtext.Writer) {
+	w := s.worker
+	pw.Counter("dedupd_worker_block_solves_total",
+		"Remote block solves executed by this worker.",
+		promtext.Sample{Value: float64(w.Solves.Load())})
+	pw.Counter("dedupd_worker_block_cache_hits_total",
+		"Solve requests replayed from the idempotency cache.",
+		promtext.Sample{Value: float64(w.CacheHits.Load())})
+	pw.Counter("dedupd_worker_block_solves_rejected_total",
+		"Solve requests refused while draining.",
+		promtext.Sample{Value: float64(w.Rejected.Load())})
+	pw.Histogram("dedupd_worker_block_solve_duration_ms",
+		"Worker-side block solve durations.",
+		promtext.HistogramSample{Snapshot: w.SolveDuration.Snapshot()})
+}
+
+func (s *Server) workerJSON() any {
+	return map[string]any{
+		"role":       "worker",
+		"draining":   s.worker.Draining(),
+		"solves":     s.worker.Solves.Load(),
+		"cache_hits": s.worker.CacheHits.Load(),
+		"rejected":   s.worker.Rejected.Load(),
 	}
-	return map[string]any{"role": "standalone"}
 }

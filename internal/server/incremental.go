@@ -283,25 +283,6 @@ func (e *Engine) solveIncremental(j *job) error {
 		groups = append(groups, p.group)
 		reps = append(reps, p.rep)
 	}
-
-	pt := j.points[0]
-	result := SweepResult{
-		K:               pt.K,
-		Theta:           pt.Theta,
-		C:               pt.C,
-		Groups:          groups,
-		Duplicates:      nonNil(groups.Duplicates()),
-		Pairs:           nonNilPairs(groups.Pairs()),
-		Representatives: reps,
-	}
-	j.mu.Lock()
-	j.done = 1
-	j.records = len(records)
-	j.results = []SweepResult{result}
-	j.recordIDs = rids
-	j.snapRecords = records
-	j.snapRIDs = rids
-	j.snapRev = rev
-	j.mu.Unlock()
+	j.stash(records, rids, rev, []SweepResult{j.solved(j.points[0], groups, reps)})
 	return nil
 }

@@ -821,42 +821,62 @@ func (e *Engine) solve(j *job) error {
 		if err != nil {
 			return err
 		}
-		point := d.LastReport()
-		e.metrics.phase1Duration.ObserveDuration(point.Phase1)
-		e.metrics.phase2Duration.ObserveDuration(point.Phase2)
-		if j.spec.Blocked {
-			e.metrics.blocksSolved.Add(int64(point.BlocksSolved))
-			e.metrics.boundaryResolves.Add(int64(point.BoundaryResolves))
-		}
-		e.metrics.phase1Pruned.Add(point.Phase1Pruned)
-		e.metrics.phase1Candidates.Add(point.Phase1Candidates)
-		e.metrics.phase1Fallbacks.Add(point.Phase1Fallbacks)
+		e.metrics.observePoint(d.LastReport())
 		reps := make([]int, len(groups))
 		for i, g := range groups {
 			reps[i] = d.Representative(g)
 		}
-		results[idx] = SweepResult{
-			K:               pt.K,
-			Theta:           pt.Theta,
-			C:               pt.C,
-			Groups:          groups,
-			Duplicates:      nonNil(groups.Duplicates()),
-			Pairs:           nonNilPairs(groups.Pairs()),
-			Representatives: reps,
-		}
-		j.mu.Lock()
-		j.done++
-		j.mu.Unlock()
+		results[idx] = j.solved(pt, groups, reps)
 	}
+	j.stash(records, rids, rev, results)
+	return nil
+}
 
+// observePoint records one solved sweep point's phase timings and work
+// counters. The blocked pipeline's counters are zero off that path and
+// the prefilter's off the pruned index, as RunReport documents.
+func (m *Metrics) observePoint(point fuzzydup.RunReport) {
+	m.phase1Duration.ObserveDuration(point.Phase1)
+	m.phase2Duration.ObserveDuration(point.Phase2)
+	m.blocksSolved.Add(int64(point.BlocksSolved))
+	m.boundaryResolves.Add(int64(point.BoundaryResolves))
+	m.phase1Pruned.Add(point.Phase1Pruned)
+	m.phase1Candidates.Add(point.Phase1Candidates)
+	m.phase1Fallbacks.Add(point.Phase1Fallbacks)
+}
+
+// solved counts one finished sweep point toward the job's progress and
+// returns its result.
+func (j *job) solved(pt sweepPoint, groups fuzzydup.Groups, reps []int) SweepResult {
 	j.mu.Lock()
+	j.done++
+	j.mu.Unlock()
+	return SweepResult{
+		K:               pt.K,
+		Theta:           pt.Theta,
+		C:               pt.C,
+		Groups:          groups,
+		Duplicates:      nonNil(groups.Duplicates()),
+		Pairs:           nonNilPairs(groups.Pairs()),
+		Representatives: reps,
+	}
+}
+
+// stash keeps a finished solve's results on the job, with the exact
+// store snapshot they describe so run can publish a query snapshot built
+// from the same inputs. Incremental results also carry every record's
+// rid, so clients can address group members for further mutation.
+func (j *job) stash(records []fuzzydup.Record, rids []int64, rev int64, results []SweepResult) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.records = len(records)
 	j.results = results
+	if j.spec.Incremental {
+		j.recordIDs = rids
+	}
 	j.snapRecords = records
 	j.snapRIDs = rids
 	j.snapRev = rev
-	j.mu.Unlock()
-	return nil
 }
 
 // sweepOrder returns the execution order of a job's sweep points: widest

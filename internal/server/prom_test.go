@@ -1,8 +1,15 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
+	"maps"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -46,7 +53,7 @@ func scrapeProm(t *testing.T, base string) map[string]promtext.Family {
 // lints it strictly: valid syntax, no duplicate series, monotone
 // cumulative buckets, and every key family present with sane values.
 func TestPromExposition(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	s, ts := newTestServer(t, Config{Workers: 2})
 	id := createSeedDataset(t, ts.URL)
 	runJob(t, ts.URL, `{"dataset":"`+id+`","k":[3],"c":[4]}`)
 	var qr queryResponse
@@ -130,6 +137,173 @@ func TestPromExposition(t *testing.T) {
 	if _, ok := fams["dedupd_slow_ops_total"]; !ok {
 		t.Error("slow_ops family missing")
 	}
+
+	// The exposition contract, once every job kind a standalone node runs
+	// has run: the family set matches the golden list, and JSON and
+	// Prometheus report the same values.
+	runJob(t, ts.URL, `{"dataset":"`+id+`","k":[3],"c":[4],"blocked":true}`)
+	runJob(t, ts.URL, `{"dataset":"`+id+`","k":[3],"c":[4],"incremental":true}`)
+	checkFamilyGolden(t, scrapeProm(t, ts.URL))
+	// Endpoint observations land after the response is sent, so they can
+	// move between the two renders: compare until one pair agrees.
+	var diffs []string
+	for attempt := 0; attempt < 50; attempt++ {
+		if diffs = jsonPromMismatches(t, s.Metrics()); len(diffs) == 0 {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if len(diffs) > 0 {
+		t.Errorf("JSON and Prometheus disagree:\n%s", strings.Join(diffs, "\n"))
+	}
+}
+
+// checkFamilyGolden compares the live family set (name, TYPE, label
+// names) with testdata/prom_families.txt. The benchmark, dedupstat and
+// the smoke scripts read these names, so a renamed or dropped family
+// fails here; a new family goes into the file with its declaration.
+func checkFamilyGolden(t *testing.T, fams map[string]promtext.Family) {
+	t.Helper()
+	live := map[string]bool{}
+	for name, f := range fams {
+		labels := map[string]bool{}
+		for _, s := range f.Samples {
+			for l := range s.Labels {
+				if l != "le" {
+					labels[l] = true
+				}
+			}
+		}
+		line := name + " " + f.Type
+		if len(labels) > 0 {
+			line += " " + strings.Join(slices.Sorted(maps.Keys(labels)), ",")
+		}
+		live[line] = true
+	}
+	raw, err := os.ReadFile("testdata/prom_families.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		golden[line] = true
+	}
+	for _, line := range slices.Sorted(maps.Keys(golden)) {
+		if !live[line] {
+			t.Errorf("family missing from the exposition: %s", line)
+		}
+	}
+	for _, line := range slices.Sorted(maps.Keys(live)) {
+		if !golden[line] {
+			t.Errorf("family not in testdata/prom_families.txt: %s", line)
+		}
+	}
+}
+
+// jsonPromMismatches renders both expositions of m and lists every JSON
+// counter or gauge that differs from its Prometheus sample, and every
+// JSON histogram whose count or sum differs from its _count or _sum.
+// JSON key k maps to dedupd_k_total or dedupd_k unless promSeries names
+// an irregular family.
+func jsonPromMismatches(t *testing.T, m *Metrics) []string {
+	t.Helper()
+	render := func(target string) string {
+		rec := httptest.NewRecorder()
+		m.handler().ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		return rec.Body.String()
+	}
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(render("/metrics")), &doc); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := promtext.Parse(strings.NewReader(render("/metrics?format=prometheus")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]float64{}
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			samples[seriesID(s.Name, s.Labels)] = s.Value
+		}
+	}
+
+	var diffs []string
+	compare := func(path string, got float64, series string) {
+		want, ok := samples[series]
+		// The snapshot age ticks with the clock between the two renders.
+		if path == "query_snapshot_age_seconds" && ok && math.Abs(got-want) < 1 {
+			return
+		}
+		if !ok {
+			diffs = append(diffs, fmt.Sprintf("%s: no series %s", path, series))
+		} else if got != want {
+			diffs = append(diffs, fmt.Sprintf("%s = %v, %s = %v", path, got, series, want))
+		}
+	}
+	var walk func(path []string, v any)
+	walk = func(path []string, v any) {
+		family, labels, jsonOnly := promSeries(path)
+		if jsonOnly {
+			return
+		}
+		key := strings.Join(path, "/")
+		switch v := v.(type) {
+		case float64:
+			if _, ok := samples[seriesID(family+"_total", labels)]; ok {
+				family += "_total"
+			}
+			compare(key, v, seriesID(family, labels))
+		case map[string]any:
+			if _, ok := v["buckets"]; ok {
+				compare(key+" count", v["count"].(float64), seriesID(family+"_count", labels))
+				compare(key+" sum", v["sum"].(float64), seriesID(family+"_sum", labels))
+				return
+			}
+			for k, child := range v {
+				walk(append(slices.Clip(path), k), child)
+			}
+		default:
+			diffs = append(diffs, fmt.Sprintf("%s: unexpected JSON value %v", key, v))
+		}
+	}
+	for k, v := range doc {
+		walk([]string{k}, v)
+	}
+	slices.Sort(diffs)
+	return diffs
+}
+
+// promSeries names the Prometheus family and labels of a JSON metrics
+// path. Nested maps resolve at their leaves; jsonOnly marks values with
+// no Prometheus counterpart.
+func promSeries(path []string) (family string, labels map[string]string, jsonOnly bool) {
+	switch {
+	case len(path) == 1 && (path[0] == "phase1_duration_ms" || path[0] == "phase2_duration_ms"):
+		return "dedupd_phase_duration_ms", map[string]string{"phase": strings.TrimSuffix(path[0], "_duration_ms")}, false
+	case path[0] == "job_duration_ms": // every kind together
+		return "", nil, true
+	case len(path) == 2 && path[0] == "job_duration_by_kind":
+		return "dedupd_job_duration_ms", map[string]string{"kind": path[1]}, false
+	case len(path) == 2 && path[0] == "slow_ops":
+		return "dedupd_slow_ops", map[string]string{"kind": path[1]}, false
+	case len(path) == 3 && path[0] == "endpoints" && path[2] == "count":
+		return "dedupd_http_requests", map[string]string{"endpoint": path[1]}, false
+	case len(path) == 3 && path[0] == "endpoints" && path[2] == "latency_ms":
+		return "dedupd_http_request_duration_ms", map[string]string{"endpoint": path[1]}, false
+	case len(path) == 3 && path[0] == "endpoints" && path[2] == "total_us":
+		return "", nil, true
+	}
+	return "dedupd_" + path[0], nil, false
+}
+
+// seriesID keys a sample by name and labels, in label-name order.
+func seriesID(name string, labels map[string]string) string {
+	var b strings.Builder
+	b.WriteString(name)
+	for _, k := range slices.Sorted(maps.Keys(labels)) {
+		fmt.Fprintf(&b, ",%s=%q", k, labels[k])
+	}
+	return b.String()
 }
 
 // TestMetricsContentNegotiation pins the /metrics format selection: JSON

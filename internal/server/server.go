@@ -48,6 +48,7 @@ package server
 import (
 	"context"
 	"errors"
+	"expvar"
 	"fmt"
 	"log/slog"
 	"net"
@@ -324,12 +325,10 @@ func New(cfg Config) (*Server, error) {
 			s.coord.AddPeer(p)
 		}
 		s.engine.coord = s.coord
-		s.metrics.clusterProm = s.clusterFamilies
-		s.metrics.attachClusterJSON(s.clusterJSON)
+		s.metrics.declare("cluster", expvar.Func(s.coordinatorJSON), s.coordinatorFamilies)
 	case "worker":
 		s.worker = cluster.NewWorker(cfg.Logger, 0)
-		s.metrics.clusterProm = s.clusterFamilies
-		s.metrics.attachClusterJSON(s.clusterJSON)
+		s.metrics.declare("cluster", expvar.Func(s.workerJSON), s.workerFamilies)
 		if len(cfg.Peers) > 0 {
 			if cfg.Advertise == "" {
 				return nil, fmt.Errorf("role worker with peers requires an advertise URL")

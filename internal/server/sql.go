@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"fuzzydup/internal/sqldb"
 	"fuzzydup/internal/sqlwire"
@@ -142,7 +143,13 @@ func (s *Server) newSQLServer() *sqlwire.Server {
 				s.slowOps.note("sql", d, func() SlowOp {
 					q := query
 					if len(q) > maxSlowQueryLen {
-						q = q[:maxSlowQueryLen] + "…"
+						// Cut at the last rune start at or before the
+						// limit, so the record stays valid UTF-8.
+						cut := maxSlowQueryLen
+						for cut > 0 && !utf8.RuneStart(q[cut]) {
+							cut--
+						}
+						q = q[:cut] + "…"
 					}
 					op := SlowOp{
 						Query:     q,

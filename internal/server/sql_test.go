@@ -405,6 +405,36 @@ func TestSQLMaxRowsAndMetrics(t *testing.T) {
 	}
 }
 
+// TestSlowSQLTextCutsAtRuneBoundary pins the slow-op record of a
+// statement longer than maxSlowQueryLen: the text is cut at a rune
+// boundary, so what precedes the ellipsis is a prefix of the statement.
+// A cut inside a multi-byte rune would leave a stray byte there.
+func TestSlowSQLTextCutsAtRuneBoundary(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, SlowQuery: time.Nanosecond})
+	cl := dialSQL(t, startSQL(t, s), "", "")
+	stmt := "SELECT 'x" + strings.Repeat("é", 300) + "'"
+	_, _ = cl.Query(stmt) // recorded as slow whether it succeeds or fails
+
+	var slow slowOpsResponse
+	if code := doJSON(t, "GET", ts.URL+"/debug/slowops", "", "", &slow); code != http.StatusOK {
+		t.Fatalf("slowops: status %d", code)
+	}
+	for _, op := range slow.SlowOps {
+		if op.Kind != "sql" {
+			continue
+		}
+		q, cut := strings.CutSuffix(op.Query, "…")
+		if !cut {
+			t.Fatalf("query of %d bytes kept whole: %q", len(stmt), op.Query)
+		}
+		if !strings.HasPrefix(stmt, q) {
+			t.Errorf("truncated query is not a prefix of the statement: %q", op.Query)
+		}
+		return
+	}
+	t.Fatalf("no sql slow op in %+v", slow.SlowOps)
+}
+
 // TestSQLAuth exercises mysql_native_password gating.
 func TestSQLAuth(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1, SQLUser: "ops", SQLPassword: "s3cret"})

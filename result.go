@@ -1,6 +1,10 @@
 package fuzzydup
 
-import "sort"
+import (
+	"sort"
+
+	"fuzzydup/internal/core"
+)
 
 // The elimination half of "detect and eliminate": once duplicate groups
 // are known, each group is collapsed to a single representative record.
@@ -13,19 +17,7 @@ func (d *Deduper) Representative(group []int) int {
 	if len(group) == 0 {
 		panic("fuzzydup: representative of empty group")
 	}
-	best, bestTotal := group[0], -1.0
-	for _, cand := range group {
-		total := 0.0
-		for _, other := range group {
-			if other != cand {
-				total += d.Distance(cand, other)
-			}
-		}
-		if bestTotal < 0 || total < bestTotal || (total == bestTotal && cand < best) {
-			best, bestTotal = cand, total
-		}
-	}
-	return best
+	return core.Medoid(group, d.Distance)
 }
 
 // Eliminate collapses each duplicate group to its representative and

@@ -319,7 +319,8 @@ type Deduper struct {
 	metric    distance.Metric
 	counter   *distance.Counting // same metric, counted; indexes query through it
 	index     nnindex.Index
-	indexKind Index // resolved Options.Index (defaults applied)
+	indexKind Index    // resolved Options.Index (defaults applied)
+	agg       core.Agg // resolved Options.Agg
 	opts      Options
 
 	cacheS *core.NNRelation // widest size-cut relation computed so far
@@ -367,15 +368,9 @@ func New(records []Record, opts Options) (*Deduper, error) {
 	for i, r := range records {
 		keys[i] = strutil.JoinFields(r)
 	}
-	var metric distance.Metric
-	if opts.CustomMetric != nil {
-		metric = distance.Func{MetricName: "custom", F: opts.CustomMetric}
-	} else {
-		m, err := distance.ByName(string(opts.Metric), keys)
-		if err != nil {
-			return nil, fmt.Errorf("fuzzydup: unknown metric %q", opts.Metric)
-		}
-		metric = m
+	metric, agg, err := opts.resolve(keys)
+	if err != nil {
+		return nil, err
 	}
 	// Every metric call — index probes, diagnostics, representatives —
 	// goes through a counting wrapper so reports can state how many
@@ -428,7 +423,24 @@ func New(records []Record, opts Options) (*Deduper, error) {
 	default:
 		return nil, fmt.Errorf("fuzzydup: unknown index %q", kind)
 	}
-	return &Deduper{records: records, keys: keys, metric: counter, counter: counter, index: index, indexKind: kind, opts: opts}, nil
+	return &Deduper{records: records, keys: keys, metric: counter, counter: counter, index: index, indexKind: kind, agg: agg, opts: opts}, nil
+}
+
+// resolve turns the options' metric and aggregation names into their
+// implementations; a corpus-dependent metric takes its weights from keys.
+func (o Options) resolve(keys []string) (distance.Metric, core.Agg, error) {
+	agg, err := core.ParseAgg(string(o.Agg))
+	if err != nil {
+		return nil, 0, fmt.Errorf("fuzzydup: unknown aggregation %q", o.Agg)
+	}
+	if o.CustomMetric != nil {
+		return distance.Func{MetricName: "custom", F: o.CustomMetric}, agg, nil
+	}
+	metric, err := distance.ByName(string(o.Metric), keys)
+	if err != nil {
+		return nil, 0, fmt.Errorf("fuzzydup: unknown metric %q", o.Metric)
+	}
+	return metric, agg, nil
 }
 
 // Len returns the number of records.
@@ -440,12 +452,10 @@ func (d *Deduper) Distance(a, b int) float64 {
 	return d.metric.Distance(d.keys[a], d.keys[b])
 }
 
-func (d *Deduper) agg() core.Agg { return aggOf(d.opts.Agg) }
-
 func (d *Deduper) problem(cut core.Cut, c float64) core.Problem {
 	return core.Problem{
 		Cut:            cut,
-		Agg:            d.agg(),
+		Agg:            d.agg,
 		C:              c,
 		P:              d.opts.P,
 		MinimalCompact: d.opts.MinimalCompact,
@@ -705,7 +715,8 @@ func (d *Deduper) GroupsBySizeAndDiameter(maxSize int, theta, c float64) (Groups
 }
 
 // GroupsBySizeAndDiameterCtx is GroupsBySizeAndDiameter with cancellation;
-// see GroupsBySizeCtx.
+// see GroupsBySizeCtx. A zero maxSize or theta leaves that bound unset, so
+// theta 0 solves DE_S(maxSize) and maxSize 0 solves DE_D(theta).
 func (d *Deduper) GroupsBySizeAndDiameterCtx(ctx context.Context, maxSize int, theta, c float64) (Groups, error) {
 	return d.solve(ctx, d.problem(core.Cut{MaxSize: maxSize, Diameter: theta}, c))
 }

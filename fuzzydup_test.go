@@ -429,6 +429,9 @@ func TestNewErrors(t *testing.T) {
 	if _, err := New(table1(), Options{Metric: "nope"}); err == nil {
 		t.Error("unknown metric accepted")
 	}
+	if _, err := New(table1(), Options{Agg: "median"}); err == nil {
+		t.Error("unknown aggregation accepted")
+	}
 }
 
 func TestSolveErrors(t *testing.T) {

@@ -58,7 +58,7 @@ type Incremental struct {
 // measure exact distances over the live records.
 func NewIncremental(records []Record, spec IncrementalSpec, opts Options) (*Incremental, error) {
 	switch {
-	case opts.Metric == MetricFMS, opts.Metric == MetricCosine, opts.Metric == MetricSoftTFIDF:
+	case distance.CorpusDependent(string(opts.Metric)):
 		return nil, fmt.Errorf("fuzzydup: metric %q is corpus-dependent (IDF weights change on every mutation); use a corpus-independent metric for incremental maintenance", opts.Metric)
 	case opts.Index != "" && opts.Index != IndexExact:
 		return nil, fmt.Errorf("fuzzydup: incremental maintenance requires the exact index, not %q", opts.Index)
@@ -67,42 +67,18 @@ func NewIncremental(records []Record, spec IncrementalSpec, opts Options) (*Incr
 	case opts.UseSQL:
 		return nil, fmt.Errorf("fuzzydup: incremental maintenance does not support the SQL phase-2 path")
 	}
-	var metric distance.Metric
-	switch {
-	case opts.CustomMetric != nil:
-		metric = distance.Func{MetricName: "custom", F: opts.CustomMetric}
-	default:
-		m := opts.Metric
-		if m == "" {
-			m = MetricEdit
-		}
-		switch m {
-		case MetricEdit:
-			metric = distance.Edit{}
-		case MetricJaccard:
-			metric = distance.Jaccard{}
-		case MetricJaro:
-			metric = distance.Jaro{}
-		case MetricJaroWinkler:
-			metric = distance.JaroWinkler{}
-		case MetricMongeElkan:
-			metric = distance.MongeElkan{}
-		case MetricSoundex:
-			metric = distance.SoundexDistance{}
-		case MetricDamerau:
-			metric = distance.Damerau{}
-		default:
-			return nil, fmt.Errorf("fuzzydup: unknown metric %q", m)
-		}
-	}
 	keys := make([]string, len(records))
 	for i, r := range records {
 		keys[i] = strutil.JoinFields(r)
 	}
+	metric, agg, err := opts.resolve(keys)
+	if err != nil {
+		return nil, err
+	}
 	eng, err := incremental.New(keys, incremental.Config{
 		Metric:         metric,
 		Cut:            spec.cut(),
-		Agg:            aggOf(opts.Agg),
+		Agg:            agg,
 		C:              spec.C,
 		P:              opts.P,
 		MinimalCompact: opts.MinimalCompact,
@@ -117,18 +93,6 @@ func NewIncremental(records []Record, spec IncrementalSpec, opts Options) (*Incr
 		recs[i] = r
 	}
 	return &Incremental{eng: eng, records: recs, metric: metric, spec: spec}, nil
-}
-
-// aggOf maps the public aggregation name to the core constant.
-func aggOf(a Agg) core.Agg {
-	switch a {
-	case AggAvg:
-		return core.AggAvg
-	case AggMax2:
-		return core.AggMax2
-	default:
-		return core.AggMax
-	}
 }
 
 // Len returns the number of live records.

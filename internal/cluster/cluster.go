@@ -37,6 +37,7 @@ import (
 	"hash/fnv"
 
 	"fuzzydup/internal/core"
+	"fuzzydup/internal/distance"
 )
 
 // SolvePath is the worker endpoint a coordinator POSTs block solves to.
@@ -91,39 +92,13 @@ func ParamsFor(metric string, prob core.Problem) Params {
 	}
 }
 
-// ParseAgg resolves an aggregation's wire name ("" selects max, the
-// system default).
-func ParseAgg(name string) (core.Agg, error) {
-	switch name {
-	case "", "max":
-		return core.AggMax, nil
-	case "avg":
-		return core.AggAvg, nil
-	case "max2":
-		return core.AggMax2, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown aggregation %q", name)
-}
-
-// CorpusDependent reports whether the named metric derives weights from
-// the corpus it is constructed over. Such metrics cannot be solved
-// block-locally: a block's IDF table differs from the corpus-wide one,
-// so remote distances would diverge from a monolithic solve.
-func CorpusDependent(metric string) bool {
-	switch metric {
-	case "fms", "cosine", "soft-tfidf":
-		return true
-	}
-	return false
-}
-
 // Problem reconstructs the core problem, validating the parameters and
 // rejecting corpus-dependent metrics.
 func (p Params) Problem() (core.Problem, error) {
-	if CorpusDependent(p.Metric) {
+	if distance.CorpusDependent(p.Metric) {
 		return core.Problem{}, fmt.Errorf("cluster: metric %q is corpus-dependent and cannot be solved block-locally", p.Metric)
 	}
-	agg, err := ParseAgg(p.Agg)
+	agg, err := core.ParseAgg(p.Agg)
 	if err != nil {
 		return core.Problem{}, err
 	}

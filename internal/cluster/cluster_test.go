@@ -33,20 +33,6 @@ func TestBlockKeyIdentity(t *testing.T) {
 	}
 }
 
-func TestParseAgg(t *testing.T) {
-	for name, want := range map[string]core.Agg{
-		"": core.AggMax, "max": core.AggMax, "avg": core.AggAvg, "max2": core.AggMax2,
-	} {
-		got, err := ParseAgg(name)
-		if err != nil || got != want {
-			t.Errorf("ParseAgg(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := ParseAgg("median"); err == nil {
-		t.Error("ParseAgg accepted an unknown aggregation")
-	}
-}
-
 func TestParamsRoundTrip(t *testing.T) {
 	prob := core.Problem{
 		Cut:            core.Cut{MaxSize: 4, Diameter: 0.25},
@@ -70,18 +56,10 @@ func TestParamsRejections(t *testing.T) {
 	good := ParamsFor("ed", core.Problem{Cut: core.Cut{MaxSize: 3}, C: 3})
 
 	for _, metric := range []string{"fms", "cosine", "soft-tfidf"} {
-		if !CorpusDependent(metric) {
-			t.Errorf("CorpusDependent(%q) = false", metric)
-		}
 		p := good
 		p.Metric = metric
 		if _, err := p.Problem(); err == nil || !strings.Contains(err.Error(), "corpus-dependent") {
 			t.Errorf("metric %q accepted: %v", metric, err)
-		}
-	}
-	for _, metric := range []string{"ed", "jaro", "jaccard", "damerau"} {
-		if CorpusDependent(metric) {
-			t.Errorf("CorpusDependent(%q) = true", metric)
 		}
 	}
 

@@ -296,7 +296,7 @@ func (c *Coordinator) counters(id string) *workerCounters {
 // distance.ByName and be corpus-independent. The result is bit-for-bit
 // what core.Solve computes over keys — see the package comment.
 func (c *Coordinator) Solve(ctx context.Context, ds Dataset, keys []string, metric distance.Metric, metricName string, prob core.Problem, strat blocked.Strategy, opts blocked.Options) (*blocked.Result, error) {
-	if CorpusDependent(metricName) {
+	if distance.CorpusDependent(metricName) {
 		return nil, fmt.Errorf("cluster: metric %q is corpus-dependent and cannot be distributed", metricName)
 	}
 	params := ParamsFor(metricName, prob)

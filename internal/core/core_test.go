@@ -104,6 +104,20 @@ func TestAggString(t *testing.T) {
 	}
 }
 
+func TestParseAgg(t *testing.T) {
+	for name, want := range map[string]Agg{
+		"": AggMax, "max": AggMax, "avg": AggAvg, "max2": AggMax2,
+	} {
+		got, err := ParseAgg(name)
+		if err != nil || got != want {
+			t.Errorf("ParseAgg(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseAgg("median"); err == nil {
+		t.Error("ParseAgg accepted an unknown aggregation")
+	}
+}
+
 func TestCutValidate(t *testing.T) {
 	tests := []struct {
 		cut Cut

@@ -59,6 +59,20 @@ func (a Agg) String() string {
 	}
 }
 
+// ParseAgg is the inverse of String: it resolves an aggregation's name,
+// with "" selecting AggMax, the default.
+func ParseAgg(name string) (Agg, error) {
+	switch name {
+	case "", "max":
+		return AggMax, nil
+	case "avg":
+		return AggAvg, nil
+	case "max2":
+		return AggMax2, nil
+	}
+	return 0, fmt.Errorf("core: unknown aggregation %q", name)
+}
+
 // Apply aggregates the neighborhood growths of a group's members.
 // It panics on an empty slice; the SN criterion never aggregates an empty
 // group (singletons are SN by definition).

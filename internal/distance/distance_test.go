@@ -286,3 +286,16 @@ func BenchmarkFMS(b *testing.B) {
 		fms.Distance("the beatles a little help from my friends", "beatles the with a little help from my friend")
 	}
 }
+
+func TestCorpusDependent(t *testing.T) {
+	for _, metric := range []string{"fms", "cosine", "soft-tfidf"} {
+		if !CorpusDependent(metric) {
+			t.Errorf("CorpusDependent(%q) = false", metric)
+		}
+	}
+	for _, metric := range []string{"ed", "jaro", "jaccard", "damerau"} {
+		if CorpusDependent(metric) {
+			t.Errorf("CorpusDependent(%q) = true", metric)
+		}
+	}
+}

@@ -36,3 +36,15 @@ func ByName(name string, corpus []string) (Metric, error) {
 	}
 	return nil, fmt.Errorf("unknown metric %q", name)
 }
+
+// CorpusDependent reports whether the named metric derives IDF weights
+// from the corpus ByName builds it over. Such a metric's distances move
+// whenever the corpus does, so it can be neither maintained
+// incrementally nor solved block-locally.
+func CorpusDependent(name string) bool {
+	switch name {
+	case "fms", "cosine", "soft-tfidf":
+		return true
+	}
+	return false
+}

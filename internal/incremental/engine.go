@@ -604,6 +604,9 @@ func (e *Engine) topK(v, k int) []nnindex.Neighbor {
 	if k <= 0 {
 		return nil
 	}
+	if k > len(e.keys) {
+		k = len(e.keys) // no list outgrows the corpus; a huge K must not size the heap
+	}
 	h := make(neighborHeap, 0, k+1)
 	for u := range e.keys {
 		if u == v || !e.live[u] {

@@ -326,6 +326,19 @@ func TestZeroDistanceDuplicates(t *testing.T) {
 	checkRowsMatchBatch(t, e, "delete twin")
 }
 
+// TestHugeSizeCut: a K beyond the corpus solves as K = n and must not
+// size an allocation (an incremental dedupd job takes K from the client).
+func TestHugeSizeCut(t *testing.T) {
+	cfg := Config{Metric: numMetric, Cut: core.Cut{MaxSize: math.MaxInt}, C: 4}
+	e, err := New([]string{"100", "101", "5000"}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEquivalent(t, e, cfg, "build")
+	e.Insert("102")
+	checkEquivalent(t, e, cfg, "insert")
+}
+
 // TestEmptyAndSingleton covers the engine at and around zero records.
 func TestEmptyAndSingleton(t *testing.T) {
 	cfg := Config{Metric: numMetric, Cut: core.Cut{MaxSize: 3}, C: 3}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"time"
 
 	"fuzzydup"
 	"fuzzydup/internal/blocked"
@@ -28,8 +27,8 @@ import (
 const defaultDistributedParallel = 8
 
 // solveDistributed runs a distributed job's sweep through the engine's
-// cluster coordinator. The spec validations (exact index, no use_sql,
-// corpus-independent metric) already ran in normalize, and Submit
+// cluster coordinator. normalize validated the spec as a blocked solve
+// with the exact index and a corpus-independent metric, and Submit
 // guaranteed e.coord is non-nil.
 func (e *Engine) solveDistributed(j *job) error {
 	records, rids, rev, err := e.store.SnapshotFull(j.spec.Dataset)
@@ -40,7 +39,7 @@ func (e *Engine) solveDistributed(j *job) error {
 	for i, r := range records {
 		keys[i] = strutil.JoinFields(r)
 	}
-	base, err := distance.ByName(j.spec.Metric, keys)
+	base, err := distance.ByName(j.prob.Metric, keys)
 	if err != nil {
 		return err
 	}
@@ -48,7 +47,7 @@ func (e *Engine) solveDistributed(j *job) error {
 	// fallbacks, representatives); worker-side calls surface through the
 	// cluster metrics roll-up.
 	counter := distance.NewCounting(base)
-	agg, err := cluster.ParseAgg(j.spec.Agg)
+	agg, err := core.ParseAgg(j.prob.Agg)
 	if err != nil {
 		return err
 	}
@@ -81,34 +80,25 @@ func (e *Engine) solveDistributed(j *job) error {
 		}
 		pt := j.points[idx]
 		prob := core.Problem{
+			Cut:            pt.cut(),
 			Agg:            agg,
 			C:              pt.C,
-			P:              j.spec.P,
-			MinimalCompact: j.spec.MinimalCompact,
-		}
-		switch j.spec.Mode {
-		case "size":
-			prob.Cut = core.Cut{MaxSize: pt.K}
-		case "diameter":
-			prob.Cut = core.Cut{Diameter: pt.Theta}
-		default: // both
-			prob.Cut = core.Cut{MaxSize: pt.K, Diameter: pt.Theta}
+			P:              j.prob.P,
+			MinimalCompact: j.prob.MinimalCompact,
 		}
 
 		var p1 core.Phase1Stats
-		res, err := e.coord.Solve(j.ctx, ds, keys, counter, j.spec.Metric, prob,
+		res, err := e.coord.Solve(j.ctx, ds, keys, counter, j.prob.Metric, prob,
 			blocked.DefaultStrategy(), blocked.Options{
 				Parallel: parallel,
 				// Normalized metrics may violate the triangle inequality,
 				// which the pivot guard needs; full foreign scans are always
 				// sound (the same choice the facade's blocked path defaults
 				// to).
-				Exhaustive: true,
-				Ctx:        j.ctx,
-				Stats:      &p1,
-				OnBlockSolved: func(size int, dur time.Duration) {
-					e.metrics.blockSolveDuration.ObserveDuration(dur)
-				},
+				Exhaustive:    true,
+				Ctx:           j.ctx,
+				Stats:         &p1,
+				OnBlockSolved: e.metrics.observeBlock,
 			})
 		if err != nil {
 			return err

@@ -138,7 +138,10 @@ func (e *Engine) restore(st *durable.State) {
 			e.logger.Warn("skipping unreadable persisted job", "job_id", js.ID, "error", err)
 			continue
 		}
-		points, err := pj.Spec.normalize()
+		// The spec was normalized and validated when the job was
+		// submitted; validating it again could drop a committed result
+		// under rules added since.
+		pl, err := pj.Spec.plan()
 		if err != nil {
 			e.logger.Warn("skipping persisted job with invalid spec", "job_id", pj.ID, "error", err)
 			continue
@@ -148,7 +151,7 @@ func (e *Engine) restore(st *durable.State) {
 		j := &job{
 			id:        pj.ID,
 			spec:      pj.Spec,
-			points:    points,
+			plan:      pl,
 			requestID: pj.RequestID,
 			ctx:       ctx,
 			cancel:    cancel,

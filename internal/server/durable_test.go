@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,6 +10,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"fuzzydup/internal/durable"
 )
 
 // newDurableServer builds a server persisting to dir. Fsync stays off:
@@ -287,6 +290,42 @@ func TestIncrementalSessionRebuildsAfterCrash(t *testing.T) {
 	}
 	if got := waitDone(t, ts2, app.RepairJob); got.State != StateDone {
 		t.Fatalf("repair job: %s (%s)", got.State, got.Error)
+	}
+}
+
+// TestRestoreTrustsCommittedSpecs: restore does not validate a committed
+// job's spec again. A done job whose spec newer rules reject (an unknown
+// agg, which older servers accepted and solved as max) still comes back
+// after a restart.
+func TestRestoreTrustsCommittedSpecs(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newDurableServer(t, dir)
+	pj := persistedJob{
+		ID: "job-000007",
+		Spec: JobSpec{Dataset: "ds-000001", Mode: "size", Metric: "ed", Agg: "median", Index: "exact",
+			K: []int{3}, Theta: []float64{0.3}, C: []float64{4}},
+		Records: 1,
+		Done:    1,
+		Results: []SweepResult{{K: 3, C: 4, Groups: [][]int{{0}}, Duplicates: [][]int{}, Pairs: [][2]int{}, Representatives: []int{0}}},
+	}
+	payload, err := json.Marshal(pj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.db.AppendSync(&durable.JobCommit{ID: pj.ID, Counter: 7, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	s.db.Crash()
+
+	_, ts := newDurableServer(t, dir)
+	var st JobStatus
+	if code := doJSON(t, "GET", ts.URL+"/v1/jobs/"+pj.ID, "", "", &st); code != http.StatusOK || st.State != StateDone {
+		t.Fatalf("restored job: status %d, %+v", code, st)
+	}
+	var res JobResult
+	if code := doJSON(t, "GET", ts.URL+"/v1/jobs/"+pj.ID+"/result", "", "", &res); code != http.StatusOK ||
+		fmt.Sprint(res.Results) != fmt.Sprint(pj.Results) {
+		t.Fatalf("restored result: status %d, %+v", code, res.Results)
 	}
 }
 

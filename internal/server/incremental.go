@@ -27,68 +27,17 @@ import (
 // to the snapshot it read, and the final job leaves it equal to the final
 // dataset.
 
-// sessionKey is the problem fingerprint of a session. A job whose
-// fingerprint differs from the live session's (new cut, metric, …)
-// rebuilds the session from scratch instead of repairing it.
-type sessionKey struct {
-	Mode           string
-	K              int
-	Theta          float64
-	C              float64
-	Metric         string
-	Agg            string
-	P              float64
-	MinimalCompact bool
-}
-
-func keyOf(spec JobSpec, pt sweepPoint) sessionKey {
-	return sessionKey{
-		Mode:           spec.Mode,
-		K:              pt.K,
-		Theta:          pt.Theta,
-		C:              pt.C,
-		Metric:         spec.Metric,
-		Agg:            spec.Agg,
-		P:              spec.P,
-		MinimalCompact: spec.MinimalCompact,
-	}
-}
-
 // incSession is one dataset's live incremental engine. mu serializes
 // repairs — concurrent repair jobs for the same dataset run one at a
 // time, each against the snapshot it took.
 type incSession struct {
 	mu      sync.Mutex
-	key     sessionKey
-	spec    JobSpec // normalized spec, resubmitted by NotifyMutation
+	key     solveKey // a job with another key rebuilds the session
+	spec    JobSpec  // normalized spec, resubmitted by NotifyMutation
 	inc     *fuzzydup.Incremental
 	byRID   map[int64]int // store rid -> engine stable ID
 	ridOf   map[int]int64 // engine stable ID -> store rid
 	repairs int           // reconcile ops applied over the session's life
-}
-
-// ispec translates the session key into the facade's problem spec.
-func (k sessionKey) ispec() fuzzydup.IncrementalSpec {
-	s := fuzzydup.IncrementalSpec{C: k.C}
-	switch k.Mode {
-	case "size":
-		s.MaxSize = k.K
-	case "diameter":
-		s.Theta = k.Theta
-	default: // both
-		s.MaxSize = k.K
-		s.Theta = k.Theta
-	}
-	return s
-}
-
-func (k sessionKey) options() fuzzydup.Options {
-	return fuzzydup.Options{
-		Metric:         fuzzydup.Metric(k.Metric),
-		Agg:            fuzzydup.Agg(k.Agg),
-		P:              k.P,
-		MinimalCompact: k.MinimalCompact,
-	}
 }
 
 // reconcile drives the session's engine to equal the snapshot, returning
@@ -98,12 +47,12 @@ func (k sessionKey) options() fuzzydup.Options {
 // complete repair) and the next job finishes the reconciliation.
 func (s *incSession) reconcile(ctx context.Context, records []fuzzydup.Record, rids []int64, tr *obs.Tracer) ([]fuzzydup.RepairStats, error) {
 	if s.inc == nil {
-		opts := s.key.options()
+		opts := s.spec.options(solveIncremental)
 		// The initial build's solve spans nest under the building job's
 		// trace. Later repairs run without spans (the engine outlives any
 		// single job), but their stats still reach the job via LastRepair.
 		opts.Tracer = tr
-		inc, err := fuzzydup.NewIncremental(records, s.key.ispec(), opts)
+		inc, err := fuzzydup.NewIncremental(records, s.key.incremental(), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -165,10 +114,9 @@ func (s *incSession) reconcile(ctx context.Context, records []fuzzydup.Record, r
 }
 
 // sessionFor returns the dataset's live session, replacing it when the
-// job's problem fingerprint differs (the engine is bound to one problem;
-// a new cut or metric means a rebuild).
-func (e *Engine) sessionFor(spec JobSpec, pt sweepPoint) *incSession {
-	key := keyOf(spec, pt)
+// job's key differs (the engine is bound to one problem and point; a new
+// cut or metric means a rebuild).
+func (e *Engine) sessionFor(spec JobSpec, key solveKey) *incSession {
 	e.sessMu.Lock()
 	defer e.sessMu.Unlock()
 	if s, ok := e.sessions[spec.Dataset]; ok && s.key == key {
@@ -223,7 +171,7 @@ func (e *Engine) solveIncremental(j *job) error {
 	if err != nil {
 		return err
 	}
-	sess := e.sessionFor(j.spec, j.points[0])
+	sess := e.sessionFor(j.spec, solveKey{j.prob, j.points[0]})
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 

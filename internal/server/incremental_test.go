@@ -16,11 +16,11 @@ import (
 // operation.
 func TestReconcileFollowsSnapshot(t *testing.T) {
 	spec := JobSpec{Dataset: "ds-000001", Mode: "size", K: []int{3}, C: []float64{4}, Incremental: true}
-	pts, err := spec.normalize()
+	pl, err := spec.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := &incSession{key: keyOf(spec, pts[0]), spec: spec}
+	sess := &incSession{key: solveKey{pl.prob, pl.points[0]}, spec: spec}
 
 	recs := []fuzzydup.Record{{"alpha one"}, {"alpha onE"}, {"zebra far away"}}
 	rids := []int64{1, 2, 3}

@@ -10,6 +10,8 @@ import (
 
 	"fuzzydup"
 	"fuzzydup/internal/cluster"
+	"fuzzydup/internal/core"
+	"fuzzydup/internal/distance"
 	"fuzzydup/internal/durable"
 	"fuzzydup/internal/obs"
 )
@@ -37,6 +39,10 @@ func (s JobState) terminal() bool {
 // lists — every combination applicable to the mode becomes one sweep
 // point, and all points of a job share one Deduper, so the phase-1 cache
 // makes a sweep barely more expensive than its widest point.
+//
+// Mode with K/Theta/C, Metric, Agg, P, MinimalCompact and Index decide
+// the answer (pruned answers as exact does). Blocked, Distributed,
+// Incremental, UseSQL and Parallel decide only how fast it comes.
 type JobSpec struct {
 	// Dataset is the dataset ID to deduplicate. Required.
 	Dataset string `json:"dataset"`
@@ -94,18 +100,70 @@ type JobSpec struct {
 // maxSweepPoints bounds the K × Theta × C cross product of one job.
 const maxSweepPoints = 64
 
-// sweepPoint is one (K, θ, c) combination of a job's sweep.
+// sweepPoint is one (K, θ, c) combination of a job's sweep. K and Theta
+// are the point's cut, zero meaning unset as in core.Cut: a DE_S point
+// has no θ and a DE_D point no K.
 type sweepPoint struct {
 	K     int
 	Theta float64
 	C     float64
 }
 
-// normalize applies defaults and validates the spec, returning the sweep
-// points in request order. Validation errors are *specError (HTTP 400).
-func (spec *JobSpec) normalize() ([]sweepPoint, error) {
+func (pt sweepPoint) cut() core.Cut { return core.Cut{MaxSize: pt.K, Diameter: pt.Theta} }
+
+// incremental returns the point as the problem an incremental engine is
+// bound to.
+func (pt sweepPoint) incremental() fuzzydup.IncrementalSpec {
+	return fuzzydup.IncrementalSpec{MaxSize: pt.K, Theta: pt.Theta, C: pt.C}
+}
+
+// problem is what a job's answer depends on besides the sweep point: the
+// metric, the SN aggregation, the growth factor p, the minimal-compact
+// post-processing, and the index. The solver, use_sql and parallel only
+// change how fast the answer comes, so they are not part of it.
+type problem struct {
+	Metric         string
+	Agg            string
+	P              float64 // core.DefaultP where the spec leaves p at 0
+	MinimalCompact bool
+	// Index is the spec's index with pruned read as exact: the prefilter
+	// answers bit-for-bit like the exact scan.
+	Index string
+}
+
+// solveKey names the question one solve answers. Two solves with equal
+// keys on one dataset revision return the same partition, whichever
+// solver ran them, so the key decides when an incremental session, a
+// published snapshot or a cached restricted DEDUP() can answer again.
+type solveKey struct {
+	problem
+	sweepPoint
+}
+
+// solver is the path that computes a job's answer.
+type solver int
+
+const (
+	solveMonolithic  solver = iota // one fuzzydup.Deduper over the dataset
+	solveBlocked                   // the facade's blocked pipeline
+	solveDistributed               // the blocked pipeline, blocks solved on cluster workers
+	solveIncremental               // the dataset's live incremental session
+)
+
+// plan is a normalized job: its problem, its sweep points in request
+// order, and its solver. The rest of the package reads the plan, never
+// the spec's mode or solver flags.
+type plan struct {
+	prob   problem
+	points []sweepPoint
+	solver solver
+}
+
+// normalize applies defaults, validates the spec and returns its plan.
+// Validation errors are *specError (HTTP 400).
+func (spec *JobSpec) normalize() (plan, error) {
 	if spec.Dataset == "" {
-		return nil, &specError{"missing dataset"}
+		return plan{}, &specError{"missing dataset"}
 	}
 	if spec.Mode == "" {
 		spec.Mode = "size"
@@ -113,7 +171,7 @@ func (spec *JobSpec) normalize() ([]sweepPoint, error) {
 	switch spec.Mode {
 	case "size", "diameter", "both":
 	default:
-		return nil, &specError{fmt.Sprintf("unknown mode %q (size, diameter, both)", spec.Mode)}
+		return plan{}, &specError{fmt.Sprintf("unknown mode %q (size, diameter, both)", spec.Mode)}
 	}
 	if spec.Metric == "" {
 		spec.Metric = string(fuzzydup.MetricEdit)
@@ -123,14 +181,6 @@ func (spec *JobSpec) normalize() ([]sweepPoint, error) {
 	}
 	if spec.Index == "" {
 		spec.Index = string(fuzzydup.IndexExact)
-	}
-	// fuzzydup.New is the authority on metric/index/agg names; probing it
-	// with a throwaway relation keeps the two validations from drifting.
-	if _, err := fuzzydup.New([]fuzzydup.Record{{"probe"}, {"probe b"}}, fuzzydup.Options{
-		Metric: fuzzydup.Metric(spec.Metric),
-		Index:  fuzzydup.Index(spec.Index),
-	}); err != nil {
-		return nil, &specError{err.Error()}
 	}
 	if len(spec.K) == 0 {
 		spec.K = []int{3}
@@ -143,87 +193,124 @@ func (spec *JobSpec) normalize() ([]sweepPoint, error) {
 	}
 	for _, k := range spec.K {
 		if k < 2 {
-			return nil, &specError{fmt.Sprintf("k = %d must be >= 2", k)}
+			return plan{}, &specError{fmt.Sprintf("k = %d must be >= 2", k)}
 		}
 	}
 	for _, th := range spec.Theta {
 		if th <= 0 || th > 1 {
-			return nil, &specError{fmt.Sprintf("theta = %g must be in (0, 1]", th)}
+			return plan{}, &specError{fmt.Sprintf("theta = %g must be in (0, 1]", th)}
 		}
 	}
 	for _, c := range spec.C {
 		if c <= 1 {
-			return nil, &specError{fmt.Sprintf("c = %g must be > 1", c)}
+			return plan{}, &specError{fmt.Sprintf("c = %g must be > 1", c)}
 		}
 	}
+	if spec.P < 0 {
+		return plan{}, &specError{fmt.Sprintf("p = %g must not be negative (0 selects %g)", spec.P, core.DefaultP)}
+	}
+	pl, err := spec.plan()
+	if err != nil {
+		return plan{}, err
+	}
+	if len(pl.points) > maxSweepPoints {
+		return plan{}, &specError{fmt.Sprintf("sweep has %d points, max %d", len(pl.points), maxSweepPoints)}
+	}
+	if err := spec.validate(pl); err != nil {
+		return plan{}, &specError{err.Error()}
+	}
+	return pl, nil
+}
 
-	var points []sweepPoint
+// plan derives the plan of a spec whose defaults are applied. Of the
+// spec's rules it checks only the solver flags, which it alone reads:
+// restore rebuilds the plans of committed jobs here without validating
+// their specs again.
+func (spec *JobSpec) plan() (plan, error) {
+	pl := plan{prob: problem{
+		Metric:         spec.Metric,
+		Agg:            spec.Agg,
+		P:              spec.P,
+		MinimalCompact: spec.MinimalCompact,
+		Index:          spec.Index,
+	}}
+	if pl.prob.P == 0 {
+		pl.prob.P = core.DefaultP
+	}
+	if pl.prob.Index == string(fuzzydup.IndexPruned) {
+		pl.prob.Index = string(fuzzydup.IndexExact)
+	}
+	switch {
+	case spec.Incremental && (spec.Blocked || spec.Distributed):
+		return plan{}, &specError{"incremental jobs cannot be blocked or distributed"}
+	case spec.Incremental:
+		pl.solver = solveIncremental
+	case spec.Distributed:
+		pl.solver = solveDistributed
+	case spec.Blocked:
+		pl.solver = solveBlocked
+	}
+	ks, thetas := spec.K, spec.Theta
 	switch spec.Mode {
 	case "size":
-		for _, k := range spec.K {
-			for _, c := range spec.C {
-				points = append(points, sweepPoint{K: k, C: c})
-			}
-		}
+		thetas = []float64{0}
 	case "diameter":
-		for _, th := range spec.Theta {
+		ks = []int{0}
+	}
+	for _, k := range ks {
+		for _, th := range thetas {
 			for _, c := range spec.C {
-				points = append(points, sweepPoint{Theta: th, C: c})
-			}
-		}
-	case "both":
-		for _, k := range spec.K {
-			for _, th := range spec.Theta {
-				for _, c := range spec.C {
-					points = append(points, sweepPoint{K: k, Theta: th, C: c})
-				}
+				pl.points = append(pl.points, sweepPoint{K: k, Theta: th, C: c})
 			}
 		}
 	}
-	if len(points) > maxSweepPoints {
-		return nil, &specError{fmt.Sprintf("sweep has %d points, max %d", len(points), maxSweepPoints)}
-	}
-	if spec.Blocked {
-		if spec.Incremental {
-			return nil, &specError{"blocked jobs cannot be incremental"}
+	return pl, nil
+}
+
+// validate checks a plan by probing the facade constructor its solver
+// calls with the options its solve uses, so the two validations cannot
+// drift. Only the rules the facade cannot know are written here.
+func (spec *JobSpec) validate(pl plan) error {
+	opts := spec.options(pl.solver)
+	switch pl.solver {
+	case solveIncremental:
+		if len(pl.points) != 1 {
+			return fmt.Errorf("incremental jobs take a single (k, theta, c) point, got %d", len(pl.points))
 		}
-		if spec.UseSQL {
-			return nil, &specError{"blocked jobs do not support use_sql"}
-		}
-		if spec.Index != string(fuzzydup.IndexExact) && spec.Index != string(fuzzydup.IndexPruned) {
-			return nil, &specError{fmt.Sprintf("blocked jobs require the exact or pruned index, not %q", spec.Index)}
-		}
-	}
-	if spec.Distributed {
-		if spec.Incremental {
-			return nil, &specError{"distributed jobs cannot be incremental"}
-		}
-		if spec.UseSQL {
-			return nil, &specError{"distributed jobs do not support use_sql"}
-		}
+		_, err := fuzzydup.NewIncremental(nil, pl.points[0].incremental(), opts)
+		return err
+	case solveDistributed:
+		// Workers solve each block with the exact index and a metric
+		// built from the block's records alone.
 		if spec.Index != string(fuzzydup.IndexExact) {
-			return nil, &specError{fmt.Sprintf("distributed jobs require the exact index, not %q", spec.Index)}
+			return fmt.Errorf("distributed jobs require the exact index, not %q", spec.Index)
 		}
-		if cluster.CorpusDependent(spec.Metric) {
-			return nil, &specError{fmt.Sprintf("metric %q is corpus-dependent and cannot be solved block-locally", spec.Metric)}
-		}
-	}
-	if spec.Incremental {
-		if len(points) != 1 {
-			return nil, &specError{fmt.Sprintf("incremental jobs take a single (k, theta, c) point, got %d", len(points))}
-		}
-		if spec.Index != string(fuzzydup.IndexExact) {
-			return nil, &specError{fmt.Sprintf("incremental jobs require the exact index, not %q", spec.Index)}
-		}
-		if spec.UseSQL {
-			return nil, &specError{"incremental jobs do not support use_sql"}
-		}
-		switch fuzzydup.Metric(spec.Metric) {
-		case fuzzydup.MetricFMS, fuzzydup.MetricCosine, fuzzydup.MetricSoftTFIDF:
-			return nil, &specError{fmt.Sprintf("metric %q is corpus-dependent and cannot be maintained incrementally", spec.Metric)}
+		if distance.CorpusDependent(spec.Metric) {
+			return fmt.Errorf("metric %q is corpus-dependent and cannot be solved block-locally", spec.Metric)
 		}
 	}
-	return points, nil
+	_, err := fuzzydup.New([]fuzzydup.Record{{"probe"}, {"probe b"}}, opts)
+	return err
+}
+
+// options builds the facade options of a spec's solves under a solver:
+// the validation probe, the batch and blocked solves, the incremental
+// session and restricted DEDUP() all start from these. A distributed
+// solve runs the blocked pipeline, so it validates as a blocked one.
+func (spec *JobSpec) options(sv solver) fuzzydup.Options {
+	opts := fuzzydup.Options{
+		Metric:         fuzzydup.Metric(spec.Metric),
+		Agg:            fuzzydup.Agg(spec.Agg),
+		Index:          fuzzydup.Index(spec.Index),
+		P:              spec.P,
+		MinimalCompact: spec.MinimalCompact,
+		UseSQL:         spec.UseSQL,
+		Parallel:       spec.Parallel,
+	}
+	if sv == solveBlocked || sv == solveDistributed {
+		opts.Blocking = &fuzzydup.BlockingOptions{}
+	}
+	return opts
 }
 
 // specError marks an invalid job spec (HTTP 400).
@@ -287,9 +374,9 @@ type JobStatus struct {
 
 // job is the engine's record of one submitted job.
 type job struct {
+	plan
 	id        string
-	spec      JobSpec
-	points    []sweepPoint
+	spec      JobSpec // normalized
 	requestID string
 
 	ctx    context.Context
@@ -322,10 +409,10 @@ type job struct {
 
 // kind labels the job for status bodies and logs.
 func (j *job) kind() string {
-	switch {
-	case j.spec.Incremental:
+	switch j.solver {
+	case solveIncremental:
 		return "incremental"
-	case j.spec.Distributed:
+	case solveDistributed:
 		return "distributed"
 	}
 	return "batch"
@@ -442,11 +529,11 @@ func newEngine(store *Store, metrics *Metrics, logger *slog.Logger, workers, que
 // submitting request's X-Request-ID; it travels on the job's context so
 // logs from every phase of the run correlate with the submission.
 func (e *Engine) Submit(spec JobSpec, requestID string) (JobStatus, error) {
-	points, err := spec.normalize()
+	pl, err := spec.normalize()
 	if err != nil {
 		return JobStatus{}, err
 	}
-	if spec.Distributed && e.coord == nil {
+	if pl.solver == solveDistributed && e.coord == nil {
 		return JobStatus{}, &specError{"distributed jobs require a coordinator node (-role coordinator)"}
 	}
 	if _, err := e.store.Get(spec.Dataset); err != nil {
@@ -455,7 +542,7 @@ func (e *Engine) Submit(spec JobSpec, requestID string) (JobStatus, error) {
 	ctx, cancel := context.WithCancel(obs.WithRequestID(context.Background(), requestID))
 	j := &job{
 		spec:      spec,
-		points:    points,
+		plan:      pl,
 		requestID: requestID,
 		ctx:       ctx,
 		cancel:    cancel,
@@ -490,7 +577,7 @@ func (e *Engine) Submit(spec JobSpec, requestID string) (JobStatus, error) {
 	e.logger.Info("job submitted",
 		"job_id", j.id,
 		"dataset", spec.Dataset,
-		"sweep_points", len(points),
+		"sweep_points", len(pl.points),
 		"request_id", requestID)
 	return st, nil
 }
@@ -660,10 +747,10 @@ func (e *Engine) run(j *job) {
 		"request_id", j.requestID)
 
 	var err error
-	switch {
-	case j.spec.Incremental:
+	switch j.solver {
+	case solveIncremental:
 		err = e.solveIncremental(j)
-	case j.spec.Distributed:
+	case solveDistributed:
 		err = e.solveDistributed(j)
 	default:
 		err = e.solve(j)
@@ -762,24 +849,12 @@ func (e *Engine) solve(j *job) error {
 	if err != nil {
 		return err
 	}
-	opts := fuzzydup.Options{
-		Metric:         fuzzydup.Metric(j.spec.Metric),
-		Agg:            fuzzydup.Agg(j.spec.Agg),
-		Index:          fuzzydup.Index(j.spec.Index),
-		P:              j.spec.P,
-		MinimalCompact: j.spec.MinimalCompact,
-		UseSQL:         j.spec.UseSQL,
-		Parallel:       j.spec.Parallel,
-		// The facade's dedup.solve spans nest under the job's root span,
-		// so each run retains as one coherent trace.
-		Tracer: j.span.Tracer(),
-	}
-	if j.spec.Blocked {
-		opts.Blocking = &fuzzydup.BlockingOptions{
-			OnBlockSolved: func(size int, dur time.Duration) {
-				e.metrics.blockSolveDuration.ObserveDuration(dur)
-			},
-		}
+	opts := j.spec.options(j.solver)
+	// The facade's dedup.solve spans nest under the job's root span, so
+	// each run retains as one coherent trace.
+	opts.Tracer = j.span.Tracer()
+	if opts.Blocking != nil {
+		opts.Blocking.OnBlockSolved = e.metrics.observeBlock
 	}
 	d, err := fuzzydup.New(records, opts)
 	if err != nil {
@@ -808,16 +883,7 @@ func (e *Engine) solve(j *job) error {
 			e.testBeforeSolve(j.ctx, j.id)
 		}
 		pt := j.points[idx]
-		var groups fuzzydup.Groups
-		var err error
-		switch j.spec.Mode {
-		case "size":
-			groups, err = d.GroupsBySizeCtx(j.ctx, pt.K, pt.C)
-		case "diameter":
-			groups, err = d.GroupsByDiameterCtx(j.ctx, pt.Theta, pt.C)
-		default: // both
-			groups, err = d.GroupsBySizeAndDiameterCtx(j.ctx, pt.K, pt.Theta, pt.C)
-		}
+		groups, err := d.GroupsBySizeAndDiameterCtx(j.ctx, pt.K, pt.Theta, pt.C)
 		if err != nil {
 			return err
 		}
@@ -843,6 +909,11 @@ func (m *Metrics) observePoint(point fuzzydup.RunReport) {
 	m.phase1Pruned.Add(point.Phase1Pruned)
 	m.phase1Candidates.Add(point.Phase1Candidates)
 	m.phase1Fallbacks.Add(point.Phase1Fallbacks)
+}
+
+// observeBlock is the blocked pipeline's OnBlockSolved hook.
+func (m *Metrics) observeBlock(size int, dur time.Duration) {
+	m.blockSolveDuration.ObserveDuration(dur)
 }
 
 // solved counts one finished sweep point toward the job's progress and
@@ -871,7 +942,7 @@ func (j *job) stash(records []fuzzydup.Record, rids []int64, rev int64, results 
 	defer j.mu.Unlock()
 	j.records = len(records)
 	j.results = results
-	if j.spec.Incremental {
+	if j.solver == solveIncremental {
 		j.recordIDs = rids
 	}
 	j.snapRecords = records

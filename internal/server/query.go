@@ -26,13 +26,15 @@ type snapEntry struct {
 	seq uint64     // publication counter, guarded by mu
 }
 
-// published is one publication: the immutable snapshot and the SQL rows
-// derived from it. The rows are built on the first SQL read that needs
-// them (see sqlcatalog.go), never at publish time, so REST-only traffic
-// does not pay for them. A republish swaps in a fresh value and drop
-// forgets the entry, so the rows live exactly as long as their snapshot.
+// published is one publication: the immutable snapshot, the key of the
+// solve it holds, and the SQL rows derived from it. The rows are built on
+// the first SQL read that needs them (see sqlcatalog.go), never at
+// publish time, so REST-only traffic does not pay for them. A republish
+// swaps in a fresh value and drop forgets the entry, so the rows live
+// exactly as long as their snapshot.
 type published struct {
 	snap *querysnap.Snapshot
+	key  solveKey
 	// dedup, groups and nn hold the DEDUP(), dup_groups and nn_reln rows.
 	dedup, groups, nn lazyRows
 }
@@ -62,12 +64,13 @@ func (r *snapRegistry) current(dataset string) *published {
 	return v.(*snapEntry).ptr.Load()
 }
 
-// publish builds a snapshot from cfg and swaps it in, assigning the
-// dataset's next sequence number. A build whose revision is older than
-// the published snapshot's is dropped: a slow job must not shadow the
-// fresher state a later job already published. Returns the published
-// snapshot, or nil if the build was dropped or failed.
-func (r *snapRegistry) publish(cfg querysnap.Config) (*querysnap.Snapshot, error) {
+// publish builds a snapshot from cfg, the partition of the solve key
+// names, and swaps it in, assigning the dataset's next sequence number.
+// A build whose revision is older than the published snapshot's is
+// dropped: a slow job must not shadow the fresher state a later job
+// already published. Returns the published snapshot, or nil if the
+// build was dropped or failed.
+func (r *snapRegistry) publish(cfg querysnap.Config, key solveKey) (*querysnap.Snapshot, error) {
 	v, _ := r.entries.LoadOrStore(cfg.Dataset, &snapEntry{})
 	e := v.(*snapEntry)
 	e.mu.Lock()
@@ -81,7 +84,7 @@ func (r *snapRegistry) publish(cfg querysnap.Config) (*querysnap.Snapshot, error
 		return nil, err
 	}
 	e.seq++
-	e.ptr.Store(&published{snap: snap})
+	e.ptr.Store(&published{snap: snap, key: key})
 	return snap, nil
 }
 
@@ -159,9 +162,9 @@ func (e *Engine) publishSnapshot(j *job) {
 			K:      res.K,
 			Theta:  res.Theta,
 			C:      res.C,
-			Metric: j.spec.Metric,
+			Metric: j.prob.Metric,
 		},
-	})
+	}, solveKey{j.prob, j.points[0]})
 	if err != nil {
 		e.logger.Warn("query snapshot build failed",
 			"job_id", j.id, "dataset", j.spec.Dataset, "error", err.Error())

@@ -487,6 +487,8 @@ func TestErrorPaths(t *testing.T) {
 		{"bad k", "POST", "/v1/jobs", fmt.Sprintf(`{"dataset":%q,"k":[1]}`, dsID), 400, "bad_spec"},
 		{"bad c", "POST", "/v1/jobs", fmt.Sprintf(`{"dataset":%q,"c":[0.5]}`, dsID), 400, "bad_spec"},
 		{"bad theta", "POST", "/v1/jobs", fmt.Sprintf(`{"dataset":%q,"mode":"diameter","theta":[2]}`, dsID), 400, "bad_spec"},
+		{"bad agg", "POST", "/v1/jobs", fmt.Sprintf(`{"dataset":%q,"agg":"median"}`, dsID), 400, "bad_spec"},
+		{"negative p", "POST", "/v1/jobs", fmt.Sprintf(`{"dataset":%q,"p":-1}`, dsID), 400, "bad_spec"},
 		{"malformed ndjson", "POST", "/v1/datasets/" + dsID + "/records", `["ok"]` + "\n" + `{broken`, 400, "bad_record"},
 		{"empty record line", "POST", "/v1/datasets/" + dsID + "/records", `[]`, 400, "bad_record"},
 		{"dataset cap", "POST", "/v1/datasets/" + dsID + "/records", strings.Repeat("[\"x y z\"]\n", 5), 413, "dataset_cap"},

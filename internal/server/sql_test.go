@@ -11,6 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"fuzzydup/internal/core"
+	"fuzzydup/internal/distance"
+	"fuzzydup/internal/nnindex"
+	"fuzzydup/internal/sqldb"
 	"fuzzydup/internal/sqlwire"
 )
 
@@ -211,6 +215,74 @@ func TestSQLDedupMatchesJobPath(t *testing.T) {
 	mustQuery(t, cl, fmt.Sprintf("SELECT rid FROM DEDUP('%s', 2)", dsID))
 	if s.metrics.jobsQueued.Value() != queued+1 {
 		t.Errorf("non-matching DEDUP did not submit a job")
+	}
+
+	// Reuse follows the question a job answered, not how it solved it.
+	// Each case first solves a fresh copy of the dataset over REST with
+	// one field changed. DEDUP(ds, 3, 0, 4) must then return the default
+	// partition above: from that job's snapshot when only the speed
+	// changed, from exactly one new job when the answer can differ.
+	for _, tc := range []struct {
+		name, field string
+		reuse       bool
+	}{
+		{"pruned", `"index":"pruned"`, true},
+		{"p2", `"p":2`, true},
+		{"blocked", `"blocked":true`, true},
+		{"incremental", `"incremental":true`, true},
+		{"use_sql", `"use_sql":true`, true},
+		{"max2", `"agg":"max2"`, false},
+		{"p8", `"p":8`, false},
+		{"minimal_compact", `"minimal_compact":true`, false},
+		{"qgram", `"index":"qgram"`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := createSeedDataset(t, ts.URL)
+			st := submitJob(t, ts.URL, fmt.Sprintf(`{"dataset":%q,"mode":"size","k":[3],"c":[4],%s}`, ds, tc.field))
+			waitForState(t, ts.URL, st.ID, StateDone)
+			if tc.name == "p8" {
+				checkNNReln(t, cl, ds, core.Cut{MaxSize: 3}, 8)
+			}
+			queued := s.metrics.jobsQueued.Value()
+			res := mustQuery(t, cl, fmt.Sprintf("SELECT rid, group_id FROM DEDUP('%s', 3, 0, 4) ORDER BY rid", ds))
+			if g, w := strings.Join(rowStrings(res), "\n"), strings.Join(got, "\n"); g != w {
+				t.Errorf("DEDUP after a {%s} job:\n%s\nwant the default partition:\n%s", tc.field, g, w)
+			}
+			want := queued + 1
+			if tc.reuse {
+				want = queued
+			}
+			if n := s.metrics.jobsQueued.Value(); n != want {
+				t.Errorf("DEDUP after a {%s} job queued %d jobs, want %d", tc.field, n-queued, want-queued)
+			}
+		})
+	}
+}
+
+// checkNNReln asserts that a dataset's nn_reln rows are the exact
+// phase-1 relation of its records under the cut and growth factor p.
+func checkNNReln(t *testing.T, cl *sqlwire.Client, ds string, cut core.Cut, p float64) {
+	t.Helper()
+	recs := mustQuery(t, cl, fmt.Sprintf("SELECT rid, record FROM records WHERE dataset = '%s' ORDER BY rid", ds))
+	keys := make([]string, len(recs.Rows))
+	for i, row := range recs.Rows {
+		keys[i] = row[1].S
+	}
+	rel, err := core.ComputeNN(nnindex.NewExact(keys, distance.Edit{}), cut, p, core.Phase1Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i, row := range rel.Rows {
+		for rank, nb := range row.NNList {
+			want = append(want, fmt.Sprintf("%s|%d|%s|%s|%d", recs.Rows[i][0].S, rank+1,
+				recs.Rows[nb.ID][0].S, sqldb.Float(nb.Dist).String(), row.NG))
+		}
+	}
+	nn := mustQuery(t, cl, fmt.Sprintf(
+		"SELECT rid, rank, neighbor_rid, distance, ng FROM nn_reln WHERE dataset = '%s' ORDER BY rid, rank", ds))
+	if g, w := strings.Join(rowStrings(nn), "\n"), strings.Join(want, "\n"); g != w {
+		t.Errorf("nn_reln is not the relation at p = %g:\n%s\nwant:\n%s", p, g, w)
 	}
 }
 

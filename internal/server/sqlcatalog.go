@@ -13,7 +13,6 @@ import (
 	"fuzzydup/internal/core"
 	"fuzzydup/internal/distance"
 	"fuzzydup/internal/nnindex"
-	"fuzzydup/internal/querysnap"
 	"fuzzydup/internal/sqldb"
 	"fuzzydup/internal/strutil"
 )
@@ -32,12 +31,12 @@ import (
 //
 // dup_groups and nn_reln read the dataset's published query snapshot
 // (the committed state of its last finished job) and are empty until
-// one exists. DEDUP reuses the snapshot when its (revision, params)
-// fingerprint matches the request and otherwise submits a job through
-// the engine and blocks on it. group_id is everywhere the smallest
-// member rid — a labeling that is stable between full and restricted
-// solves, which is what makes the pushdown path's output comparable
-// bit-for-bit against the unrestricted one.
+// one exists. DEDUP reuses the snapshot when it was solved at the
+// current revision for the same solve key (problem and point) and
+// otherwise submits a job through the engine and blocks on it. group_id
+// is everywhere the smallest member rid — a labeling that is stable
+// between full and restricted solves, which is what makes the pushdown
+// path's output comparable bit-for-bit against the unrestricted one.
 //
 // The rows of unrestricted DEDUP, dup_groups and nn_reln are built once
 // per published snapshot, by its first SQL reader, and held on the
@@ -53,8 +52,11 @@ const blockKeyLen = 4
 // blockKeyOf computes the block_key column for one record: the first
 // FirstNChars key of the joined field string, or "" for records whose
 // normalized form is empty (those render as NULL).
-func blockKeyOf(rec fuzzydup.Record) string {
-	keys := blocking.FirstNChars(blockKeyLen)(strutil.JoinFields(rec))
+func blockKeyOf(rec fuzzydup.Record) string { return firstKeyString(strutil.JoinFields(rec)) }
+
+// firstKeyString is blockKeyOf for an already-joined record string.
+func firstKeyString(key string) string {
+	keys := blocking.FirstNChars(blockKeyLen)(key)
 	if len(keys) == 0 {
 		return ""
 	}
@@ -69,7 +71,7 @@ type sqlCatalog struct {
 
 	mu sync.Mutex
 	// dedupCache holds restricted DEDUP results keyed by their full
-	// fingerprint (dataset, rev, params, sorted block keys).
+	// fingerprint (dataset, rev, solve key, sorted block keys).
 	dedupCache map[string][][]sqldb.Value
 }
 
@@ -331,37 +333,53 @@ func (t *dupGroupsTable) Rows(ctx context.Context, push []sqldb.Pushdown, limit 
 	return out, nil
 }
 
-// groupRows returns the publication's partition as SQL rows, one per
-// record in group order: with blockKey the DEDUP() columns, without it
-// the dup_groups columns, which are the same minus block_key. Each set
-// is built on its first read.
+// groupRows returns the publication's partition as SQL rows (see
+// partitionRows). Each set is built on its first read.
 func (p *published) groupRows(blockKey bool) [][]sqldb.Value {
 	l := &p.groups
 	if blockKey {
 		l = &p.dedup
 	}
 	rows, _ := l.get(func() ([][]sqldb.Value, error) { // never fails
-		snap := p.snap
-		out := make([][]sqldb.Value, 0, snap.Len())
-		for gi := 0; gi < snap.Groups(); gi++ {
-			members := snap.Members(gi)
-			gid := sqldb.Int(minRID(members, snap.RID))
-			size := sqldb.Int(int64(len(members)))
-			diam := sqldb.Float(groupDiameter(members, snap.Distance))
-			rep := snap.RepIndex(gi)
-			for _, idx := range members {
-				key := snap.Key(idx)
-				row := make([]sqldb.Value, 0, 8)
-				row = append(row, sqldb.Text(snap.Dataset()), sqldb.Int(snap.RID(idx)), sqldb.Text(key))
-				if blockKey {
-					row = append(row, textOrNull(firstKeyString(key)))
-				}
-				out = append(out, append(row, gid, size, diam, sqldb.Bool(idx == rep)))
-			}
-		}
-		return out, nil
+		return partitionRows(p.snap, blockKey), nil
 	})
 	return rows
+}
+
+// partition is a solved partition as partitionRows reads it: a published
+// querysnap.Snapshot, or a restricted DEDUP()'s solve (restrictedSolve).
+type partition interface {
+	Dataset() string
+	Groups() int
+	Members(gi int) []int
+	RepIndex(gi int) int
+	RID(idx int) int64
+	Key(idx int) string
+	Distance(i, j int) float64
+}
+
+// partitionRows renders a partition as SQL rows, one per record in group
+// order: with blockKey the DEDUP() columns, without it the dup_groups
+// columns, which are the same minus block_key.
+func partitionRows(p partition, blockKey bool) [][]sqldb.Value {
+	var out [][]sqldb.Value
+	for gi := 0; gi < p.Groups(); gi++ {
+		members := p.Members(gi)
+		gid := sqldb.Int(minRID(members, p.RID))
+		size := sqldb.Int(int64(len(members)))
+		diam := sqldb.Float(groupDiameter(members, p.Distance))
+		rep := p.RepIndex(gi)
+		for _, idx := range members {
+			key := p.Key(idx)
+			row := make([]sqldb.Value, 0, 8)
+			row = append(row, sqldb.Text(p.Dataset()), sqldb.Int(p.RID(idx)), sqldb.Text(key))
+			if blockKey {
+				row = append(row, textOrNull(firstKeyString(key)))
+			}
+			out = append(out, append(row, gid, size, diam, sqldb.Bool(idx == rep)))
+		}
+	}
+	return out
 }
 
 // minRID returns the smallest rid among the member indexes — the stable
@@ -432,12 +450,21 @@ func (t *nnRelnTable) Rows(ctx context.Context, push []sqldb.Pushdown, limit int
 // of the publication's solve: for each record, its nearest-neighbor list
 // under the solved cut, in ascending (distance, rid) order, plus its
 // neighborhood growth ng(v). Phase 1 is recomputed over the snapshot's
-// own records and params, so the relation matches the committed
-// partition exactly.
+// own records with the solve key's metric, cut and p, and always with
+// the exact index: for a job that solved with an approximate index this
+// is the exact relation, not the one the job read.
 func (p *published) nnRelnRows(ctx context.Context) ([][]sqldb.Value, error) {
 	return p.nn.get(func() ([][]sqldb.Value, error) {
 		snap := p.snap
-		rel, err := recomputeNNRelation(ctx, snap)
+		keys := make([]string, snap.Len())
+		for i := range keys {
+			keys[i] = snap.Key(i)
+		}
+		metric, err := distance.ByName(p.key.Metric, keys)
+		if err != nil {
+			return nil, err
+		}
+		rel, err := core.ComputeNN(nnindex.NewExact(keys, metric), p.key.cut(), p.key.P, core.Phase1Options{Ctx: ctx})
 		if err != nil {
 			return nil, err
 		}
@@ -458,40 +485,7 @@ func (p *published) nnRelnRows(ctx context.Context) ([][]sqldb.Value, error) {
 	})
 }
 
-// recomputeNNRelation rebuilds the phase-1 nearest-neighbor relation a
-// snapshot's partition was derived from: same records (the snapshot's
-// keys), same metric, same cut. The growth factor is the facade default
-// (core.DefaultP) — the same one batch jobs without an explicit P use.
-func recomputeNNRelation(ctx context.Context, snap *querysnap.Snapshot) (*core.NNRelation, error) {
-	keys := make([]string, snap.Len())
-	for i := range keys {
-		keys[i] = snap.Key(i)
-	}
-	metric, err := distance.ByName(snap.Params().Metric, keys)
-	if err != nil {
-		return nil, err
-	}
-	sp := snap.Params()
-	var cut core.Cut
-	switch sp.Mode {
-	case "diameter":
-		cut = core.Cut{Diameter: sp.Theta}
-	case "both":
-		cut = core.Cut{MaxSize: sp.K, Diameter: sp.Theta}
-	default:
-		cut = core.Cut{MaxSize: sp.K}
-	}
-	idx := nnindex.NewExact(keys, metric)
-	return core.ComputeNN(idx, cut, core.DefaultP, core.Phase1Options{Ctx: ctx})
-}
-
 // --- DEDUP() ----------------------------------------------------------
-
-// dedupDefaults mirror JobSpec.normalize: k 3, c 4.
-const (
-	dedupDefaultK = 3
-	dedupDefaultC = 4
-)
 
 // dedupFunc is the DEDUP(dataset [, k [, theta [, c]]]) table function.
 // theta 0 solves DE_S(k); k 0 with theta > 0 solves DE_D(θ); both
@@ -522,98 +516,75 @@ func numeric(v sqldb.Value) (float64, bool) {
 	return 0, false
 }
 
-// dedupParams is one invocation's normalized parameterization.
-type dedupParams struct {
-	dataset string
-	mode    string // "size", "diameter", "both"
-	k       int
-	theta   float64
-	c       float64
-}
-
-func parseDedupArgs(args []sqldb.Value) (dedupParams, error) {
-	var p dedupParams
+// dedupSpec turns DEDUP's arguments into the job spec that asks the same
+// question. Unset k and c take the job spec defaults when it normalizes.
+func dedupSpec(args []sqldb.Value) (JobSpec, error) {
+	var spec JobSpec
 	if len(args) < 1 || len(args) > 4 {
-		return p, fmt.Errorf("DEDUP wants (dataset [, k [, theta [, c]]]), got %d arguments", len(args))
+		return spec, fmt.Errorf("DEDUP wants (dataset [, k [, theta [, c]]]), got %d arguments", len(args))
 	}
 	if args[0].Kind != sqldb.KindText {
-		return p, fmt.Errorf("DEDUP: dataset must be TEXT")
+		return spec, fmt.Errorf("DEDUP: dataset must be TEXT")
 	}
-	p.dataset = args[0].Str
-	p.c = dedupDefaultC
+	spec.Dataset = args[0].Str
+	var k int
+	var theta float64
 	if len(args) >= 2 {
 		if args[1].Kind != sqldb.KindInt {
-			return p, fmt.Errorf("DEDUP: k must be INT")
+			return spec, fmt.Errorf("DEDUP: k must be INT")
 		}
-		p.k = int(args[1].Int)
+		k = int(args[1].Int)
 	}
 	if len(args) >= 3 {
 		f, ok := numeric(args[2])
 		if !ok {
-			return p, fmt.Errorf("DEDUP: theta must be numeric")
+			return spec, fmt.Errorf("DEDUP: theta must be numeric")
 		}
-		p.theta = f
+		theta = f
 	}
 	if len(args) >= 4 {
 		f, ok := numeric(args[3])
 		if !ok {
-			return p, fmt.Errorf("DEDUP: c must be numeric")
+			return spec, fmt.Errorf("DEDUP: c must be numeric")
 		}
-		p.c = f
+		spec.C = []float64{f}
 	}
-	switch {
-	case p.k > 0 && p.theta > 0:
-		p.mode = "both"
-	case p.theta > 0:
-		p.mode = "diameter"
-	default:
-		p.mode = "size"
-		if p.k == 0 {
-			p.k = dedupDefaultK
+	if k < 0 || theta < 0 {
+		return spec, fmt.Errorf("DEDUP: k and theta must be >= 0")
+	}
+	spec.Mode = "size"
+	if k > 0 {
+		spec.K = []int{k}
+	}
+	if theta > 0 {
+		spec.Theta = []float64{theta}
+		spec.Mode = "diameter"
+		if k > 0 {
+			spec.Mode = "both"
 		}
 	}
-	if p.k < 0 || p.theta < 0 || p.c <= 0 {
-		return p, fmt.Errorf("DEDUP: k and theta must be >= 0, c > 0")
-	}
-	return p, nil
-}
-
-// matchesSnapshot reports whether a published snapshot answers exactly
-// this parameterization (same mode, thresholds, and metric).
-func (p dedupParams) matchesSnapshot(snap *querysnap.Snapshot, rev int64) bool {
-	if snap.Rev() != rev {
-		return false
-	}
-	sp := snap.Params()
-	if sp.Mode != p.mode || sp.C != p.c || sp.Metric != string(fuzzydup.MetricEdit) {
-		return false
-	}
-	switch p.mode {
-	case "size":
-		return sp.K == p.k
-	case "diameter":
-		return sp.Theta == p.theta
-	default:
-		return sp.K == p.k && sp.Theta == p.theta
-	}
+	return spec, nil
 }
 
 func (f *dedupFunc) Invoke(ctx context.Context, args []sqldb.Value, push []sqldb.Pushdown, limit int) ([][]sqldb.Value, error) {
-	p, err := parseDedupArgs(args)
+	spec, err := dedupSpec(args)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.c.store.Get(p.dataset); err != nil {
+	pl, err := spec.normalize()
+	if err != nil {
 		return nil, fmt.Errorf("DEDUP: %w", err)
 	}
-	if keys, ok := pushedStrings(push, "block_key"); ok {
-		rows, err := f.c.dedupRestricted(ctx, p, keys)
-		if err != nil {
-			return nil, err
-		}
-		return capped(rows, limit, "DEDUP")
+	if _, err := f.c.store.Get(spec.Dataset); err != nil {
+		return nil, fmt.Errorf("DEDUP: %w", err)
 	}
-	rows, err := f.c.dedupFull(ctx, p)
+	key := solveKey{pl.prob, pl.points[0]}
+	var rows [][]sqldb.Value
+	if want, ok := pushedStrings(push, "block_key"); ok {
+		rows, err = f.c.dedupRestricted(ctx, spec, key, want)
+	} else {
+		rows, err = f.c.dedupFull(ctx, spec, key)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -621,35 +592,29 @@ func (f *dedupFunc) Invoke(ctx context.Context, args []sqldb.Value, push []sqldb
 }
 
 // dedupFull answers an unrestricted DEDUP: reuse the committed snapshot
-// when its fingerprint matches, otherwise submit a job and block on it.
-// Either way the rows come from a published snapshot, so a SQL client
-// and a REST client asking the same question read the same bytes.
-func (c *sqlCatalog) dedupFull(ctx context.Context, p dedupParams) ([][]sqldb.Value, error) {
-	rev, err := c.store.Rev(p.dataset)
+// when it was solved at the current revision for the same key, otherwise
+// submit a job and block on it. Either way the rows come from a
+// published snapshot, so a SQL client and a REST client asking the same
+// question read the same bytes.
+func (c *sqlCatalog) dedupFull(ctx context.Context, spec JobSpec, key solveKey) ([][]sqldb.Value, error) {
+	rev, err := c.store.Rev(spec.Dataset)
 	if err != nil {
 		return nil, fmt.Errorf("DEDUP: %w", err)
 	}
-	pub := c.engine.snaps.current(p.dataset)
-	if pub == nil || !p.matchesSnapshot(pub.snap, rev) {
-		if pub, err = c.solveViaJob(ctx, p); err != nil {
+	pub := c.engine.snaps.current(spec.Dataset)
+	if pub == nil || pub.snap.Rev() != rev || pub.key != key {
+		if pub, err = c.solveViaJob(ctx, spec); err != nil {
 			return nil, err
 		}
 	}
 	return pub.groupRows(true), nil
 }
 
-// solveViaJob submits the DEDUP parameterization as a regular batch job
-// and waits for it, returning the publication it made. The job path —
-// queueing, durability, metrics, tracing — is shared with REST clients;
-// SQL adds only the blocking wait.
-func (c *sqlCatalog) solveViaJob(ctx context.Context, p dedupParams) (*published, error) {
-	spec := JobSpec{Dataset: p.dataset, Mode: p.mode, C: []float64{p.c}}
-	if p.mode != "diameter" {
-		spec.K = []int{p.k}
-	}
-	if p.mode != "size" {
-		spec.Theta = []float64{p.theta}
-	}
+// solveViaJob submits the DEDUP spec as a regular batch job and waits
+// for it, returning the publication it made. The job path — queueing,
+// durability, metrics, tracing — is shared with REST clients; SQL adds
+// only the blocking wait.
+func (c *sqlCatalog) solveViaJob(ctx context.Context, spec JobSpec) (*published, error) {
 	st, err := c.engine.Submit(spec, "sql-dedup")
 	if err != nil {
 		return nil, fmt.Errorf("DEDUP: %w", err)
@@ -677,34 +642,42 @@ func (c *sqlCatalog) solveViaJob(ctx context.Context, p dedupParams) (*published
 	// The snapshot publishes before done becomes observable, so it is
 	// here — unless an even fresher job overwrote it meanwhile, in which
 	// case the newest committed state is still the right answer.
-	pub := c.engine.snaps.current(p.dataset)
+	pub := c.engine.snaps.current(spec.Dataset)
 	if pub == nil {
 		return nil, fmt.Errorf("DEDUP: job %s finished but published no snapshot", st.ID)
 	}
 	return pub, nil
 }
 
-// firstKeyString is blockKeyOf for an already-joined record string.
-func firstKeyString(key string) string {
-	keys := blocking.FirstNChars(blockKeyLen)(key)
-	if len(keys) == 0 {
-		return ""
-	}
-	return keys[0]
+// restrictedSolve is a restricted DEDUP()'s blocked solve as the
+// partition partitionRows reads.
+type restrictedSolve struct {
+	*fuzzydup.Deduper
+	dataset string
+	groups  fuzzydup.Groups
+	rids    []int64
+	keys    []string
 }
+
+func (r *restrictedSolve) Dataset() string      { return r.dataset }
+func (r *restrictedSolve) Groups() int          { return len(r.groups) }
+func (r *restrictedSolve) Members(gi int) []int { return r.groups[gi] }
+func (r *restrictedSolve) RepIndex(gi int) int  { return r.Representative(r.groups[gi]) }
+func (r *restrictedSolve) RID(idx int) int64    { return r.rids[idx] }
+func (r *restrictedSolve) Key(idx int) string   { return r.keys[idx] }
 
 // dedupRestricted answers DEDUP under a block_key pushdown: a blocked
 // solve restricted to the blocks containing the selected keys. The
 // boundary guard still certifies those blocks against the whole corpus,
 // so every returned group is identical to the unrestricted partition's
 // — the executor's predicate re-check then trims the block's other
-// members. Results are cached per (dataset, rev, params, keys).
-func (c *sqlCatalog) dedupRestricted(ctx context.Context, p dedupParams, want map[string]bool) ([][]sqldb.Value, error) {
-	records, rids, rev, err := c.store.SnapshotFull(p.dataset)
+// members. Results are cached per (dataset, rev, solve key, keys).
+func (c *sqlCatalog) dedupRestricted(ctx context.Context, spec JobSpec, key solveKey, want map[string]bool) ([][]sqldb.Value, error) {
+	records, rids, rev, err := c.store.SnapshotFull(spec.Dataset)
 	if err != nil {
 		return nil, fmt.Errorf("DEDUP: %w", err)
 	}
-	fp := restrictedFingerprint(p, rev, want)
+	fp := restrictedFingerprint(spec.Dataset, rev, key, want)
 	c.mu.Lock()
 	if rows, ok := c.dedupCache[fp]; ok {
 		c.mu.Unlock()
@@ -712,31 +685,21 @@ func (c *sqlCatalog) dedupRestricted(ctx context.Context, p dedupParams, want ma
 	}
 	c.mu.Unlock()
 
-	blockKeys := make([]string, len(records))
+	keys := make([]string, len(records))
 	for i, rec := range records {
-		blockKeys[i] = blockKeyOf(rec)
+		keys[i] = strutil.JoinFields(rec)
 	}
-	d, err := fuzzydup.New(records, fuzzydup.Options{
-		Metric: fuzzydup.MetricEdit,
-		Blocking: &fuzzydup.BlockingOptions{
-			Restrict: func(id int) bool { return blockKeys[id] != "" && want[blockKeys[id]] },
-			OnBlockSolved: func(size int, dur time.Duration) {
-				c.engine.metrics.blockSolveDuration.ObserveDuration(dur)
-			},
-		},
-	})
+	opts := spec.options(solveBlocked)
+	opts.Blocking.Restrict = func(id int) bool {
+		bk := firstKeyString(keys[id])
+		return bk != "" && want[bk]
+	}
+	opts.Blocking.OnBlockSolved = c.engine.metrics.observeBlock
+	d, err := fuzzydup.New(records, opts)
 	if err != nil {
 		return nil, fmt.Errorf("DEDUP: %w", err)
 	}
-	var groups fuzzydup.Groups
-	switch p.mode {
-	case "size":
-		groups, err = d.GroupsBySizeCtx(ctx, p.k, p.c)
-	case "diameter":
-		groups, err = d.GroupsByDiameterCtx(ctx, p.theta, p.c)
-	default:
-		groups, err = d.GroupsBySizeAndDiameterCtx(ctx, p.k, p.theta, p.c)
-	}
+	groups, err := d.GroupsBySizeAndDiameterCtx(ctx, key.K, key.Theta, key.C)
 	if err != nil {
 		return nil, fmt.Errorf("DEDUP: %w", err)
 	}
@@ -745,28 +708,10 @@ func (c *sqlCatalog) dedupRestricted(ctx context.Context, p dedupParams, want ma
 	c.engine.metrics.boundaryResolves.Add(int64(rep.BoundaryResolves))
 	c.engine.metrics.distanceCalls.Add(rep.DistanceCalls)
 
-	rows := make([][]sqldb.Value, 0, len(groups))
-	for _, g := range groups {
-		gid := minRID(g, func(i int) int64 { return rids[i] })
-		diam := groupDiameter(g, d.Distance)
-		repIdx := d.Representative(g)
-		for _, idx := range g {
-			out := []sqldb.Value{
-				sqldb.Text(p.dataset),
-				sqldb.Int(rids[idx]),
-				sqldb.Text(strutil.JoinFields(records[idx])),
-				textOrNull(blockKeys[idx]),
-				sqldb.Int(gid),
-				sqldb.Int(int64(len(g))),
-				sqldb.Float(diam),
-				sqldb.Bool(idx == repIdx),
-			}
-			rows = append(rows, out)
-		}
-	}
+	rows := partitionRows(&restrictedSolve{Deduper: d, dataset: spec.Dataset, groups: groups, rids: rids, keys: keys}, true)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.store.Get(p.dataset); err != nil {
+	if _, err := c.store.Get(spec.Dataset); err != nil {
 		return rows, nil // deleted mid-solve: forget already ran, keep nothing
 	}
 	if len(c.dedupCache) >= maxDedupCacheEntries {
@@ -776,11 +721,11 @@ func (c *sqlCatalog) dedupRestricted(ctx context.Context, p dedupParams, want ma
 	return rows, nil
 }
 
-func restrictedFingerprint(p dedupParams, rev int64, want map[string]bool) string {
+func restrictedFingerprint(dataset string, rev int64, key solveKey, want map[string]bool) string {
 	keys := make([]string, 0, len(want))
 	for k := range want {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return fmt.Sprintf("%s|%d|%s|%d|%g|%g|%s", p.dataset, rev, p.mode, p.k, p.theta, p.c, strings.Join(keys, "\x00"))
+	return fmt.Sprintf("%s|%d|%v|%s", dataset, rev, key, strings.Join(keys, "\x00"))
 }

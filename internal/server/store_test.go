@@ -1,6 +1,8 @@
 package server
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -179,10 +181,11 @@ func TestStoreRecordMutations(t *testing.T) {
 
 func TestJobSpecNormalize(t *testing.T) {
 	spec := JobSpec{Dataset: "ds-000001", Mode: "both", K: []int{3, 2}, Theta: []float64{0.3, 0.2}, C: []float64{4}}
-	points, err := spec.normalize()
+	pl, err := spec.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := pl.points
 	if len(points) != 4 {
 		t.Fatalf("points = %v", points)
 	}
@@ -201,4 +204,78 @@ func TestJobSpecNormalize(t *testing.T) {
 	if _, err := big.normalize(); err == nil {
 		t.Error("75-point sweep accepted above maxSweepPoints")
 	}
+}
+
+// FuzzJobSpec holds validation to what the solvers accept: whenever
+// normalize accepts a spec, every sweep point solves without error on a
+// small corpus, through the options and the facade constructor its
+// solver uses. A distributed spec solves locally as the blocked solve it
+// runs on the cluster.
+func FuzzJobSpec(f *testing.F) {
+	for _, body := range []string{
+		`{}`,
+		`{"dataset":"ds"}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4]}`,
+		`{"dataset":"ds","k":[3,2]}`,
+		`{"dataset":"ds","k":[4,3,2]}`,
+		`{"dataset":"ds","k":[3],"c":[4,3]}`,
+		`{"dataset":"ds","mode":"both","k":[3,2],"theta":[0.3,0.2],"c":[4]}`,
+		`{"dataset":"ds","mode":"size","k":[3,2],"c":[4],"blocked":true,"parallel":2}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"blocked":true,"index":"exact"}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"blocked":true,"index":"qgram"}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"blocked":true,"use_sql":true}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"blocked":true,"incremental":true}`,
+		`{"dataset":"ds","mode":"size","k":[3,2],"c":[4],"distributed":true}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"metric":"fms","distributed":true}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"incremental":true,"distributed":true}`,
+		`{"dataset":"ds","incremental":true}`,
+		`{"dataset":"ds","mode":"size","k":[3,2],"c":[4],"incremental":true}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"metric":"cosine","incremental":true}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"index":"qgram","incremental":true}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"use_sql":true,"incremental":true}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"index":"pruned"}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"agg":"max2"}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"p":8}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"minimal_compact":true}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"index":"qgram"}`,
+		`{"dataset":"ds","mode":"size","k":[3],"c":[4],"use_sql":true}`,
+		`{"dataset":"ds","metric":"nope"}`,
+		`{"dataset":"ds","mode":"nope"}`,
+		`{"dataset":"ds","k":[1]}`,
+		`{"dataset":"ds","c":[0.5]}`,
+		`{"dataset":"ds","mode":"diameter","theta":[2]}`,
+		`{"dataset":"ds","p":-1}`,
+		`{"dataset":"ds","agg":"median"}`,
+	} {
+		f.Add(body)
+	}
+	corpus := []fuzzydup.Record{
+		{"The Doors", "LA Woman"}, {"Doors", "LA Woman"},
+		{"Led Zeppelin", "Houses of the Holy"}, {"Led Zeppellin", "Houses of the Holy"},
+		{"Miles Davis", "Kind of Blue"}, {"Joni Mitchell", "Blue"},
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		var spec JobSpec
+		if json.Unmarshal([]byte(body), &spec) != nil {
+			return
+		}
+		pl, err := spec.normalize()
+		if err != nil {
+			return
+		}
+		opts := spec.options(pl.solver)
+		for _, pt := range pl.points {
+			if pl.solver == solveIncremental {
+				_, err = fuzzydup.NewIncremental(corpus, pt.incremental(), opts)
+			} else {
+				var d *fuzzydup.Deduper
+				if d, err = fuzzydup.New(corpus, opts); err == nil {
+					_, err = d.GroupsBySizeAndDiameterCtx(context.Background(), pt.K, pt.Theta, pt.C)
+				}
+			}
+			if err != nil {
+				t.Fatalf("accepted spec %s fails at %+v: %v", body, pt, err)
+			}
+		}
+	})
 }

@@ -140,7 +140,7 @@ func (inc *Incremental) Groups() Groups { return Groups(inc.eng.Groups()) }
 
 // LastRepair reports the work of the most recent mutation (or of the
 // initial build): dirty-set size, adopted vs re-evaluated groups,
-// distance calls, phase timings, and blocking-coverage diagnostics.
+// distance calls, and phase timings.
 func (inc *Incremental) LastRepair() RepairStats { return inc.eng.LastRepair() }
 
 // Distance returns the configured metric's distance between two live

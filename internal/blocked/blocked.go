@@ -556,9 +556,8 @@ func solveRemote(prob core.Problem, members []int, opts Options) (*blockSolve, e
 // the radius must cover the (K−1)-th local neighbor; a block with fewer
 // than K members cannot supply it. Diameter cuts (alone or combined):
 // the θ-range list is exactly reproducible iff no foreign record lies
-// within θ. Both cases additionally cover the growth sphere p·nn(v)
-// (ZeroDistanceRadius when nn = 0, matching phase 1's zero-distance
-// rule) so ng(v) is exact too.
+// within θ. Both cases additionally cover the growth sphere
+// (core.GrowthRadius, phase 1's own radius) so ng(v) is exact too.
 func blockReaches(rel *core.NNRelation, cut core.Cut, p float64, members []int, sizeWant int) []float64 {
 	if p == 0 {
 		p = core.DefaultP
@@ -577,7 +576,7 @@ func blockReaches(rel *core.NNRelation, cut core.Cut, p float64, members []int, 
 		}
 		for i := range members {
 			list := rel.Rows[i].NNList
-			r := growthReach(list[0].Dist, p)
+			r := core.GrowthRadius(list[0].Dist, p)
 			if d := list[l-1].Dist; d > r {
 				r = d
 			}
@@ -588,22 +587,13 @@ func blockReaches(rel *core.NNRelation, cut core.Cut, p float64, members []int, 
 	for i := range members {
 		r := cut.Diameter
 		if list := rel.Rows[i].NNList; len(list) > 0 {
-			if gr := growthReach(list[0].Dist, p); gr > r {
+			if gr := core.GrowthRadius(list[0].Dist, p); gr > r {
 				r = gr
 			}
 		}
 		reaches[i] = r
 	}
 	return reaches
-}
-
-// growthReach is the growth-sphere radius phase 1 uses for a record with
-// nearest-neighbor distance nn.
-func growthReach(nn, p float64) float64 {
-	if nn == 0 {
-		return core.ZeroDistanceRadius
-	}
-	return p * nn
 }
 
 // componentActive reports whether a component contains a record matched

@@ -194,7 +194,7 @@ func (g *guard) preMerge(u *unionFind, cut core.Cut, p float64, sizeWant int) {
 			if l < 1 {
 				continue
 			}
-			reach = growthReach(cands[0].d, p)
+			reach = core.GrowthRadius(cands[0].d, p)
 			li := l - 1
 			if li >= len(cands) {
 				li = len(cands) - 1

@@ -358,9 +358,9 @@ func SNHolds(rows []NNRow, group []int, agg Agg, c float64) bool {
 	return agg.Apply(ngs) < c
 }
 
-// sortGroups orders a partition canonically: members ascending within each
-// group, groups by smallest member.
-func sortGroups(groups [][]int) [][]int {
+// SortGroups orders a partition canonically in place: members ascending
+// within each group, groups by smallest member. It returns groups.
+func SortGroups(groups [][]int) [][]int {
 	for _, g := range groups {
 		sort.Ints(g)
 	}

@@ -67,7 +67,7 @@ func PartitionWithStats(rel *NNRelation, prob Problem, stats *PartitionStats) ([
 		if assigned[v] {
 			continue
 		}
-		g := largestCompactSNGroup(rel, prob, assigned, v, stats)
+		g := LargestGroup(rel.Rows, prob, assigned, v, stats)
 		for _, id := range g {
 			assigned[id] = true
 		}
@@ -76,7 +76,7 @@ func PartitionWithStats(rel *NNRelation, prob Problem, stats *PartitionStats) ([
 	if prob.MinimalCompact {
 		groups = splitNonMinimal(rel, groups, stats)
 	}
-	groups = sortGroups(groups)
+	groups = SortGroups(groups)
 	stats.Groups = len(groups)
 	for _, g := range groups {
 		if len(g) >= 2 {
@@ -86,10 +86,18 @@ func PartitionWithStats(rel *NNRelation, prob Problem, stats *PartitionStats) ([
 	return groups, nil
 }
 
-// largestCompactSNGroup returns the largest valid group anchored at v, or
-// the singleton {v} when none exists.
-func largestCompactSNGroup(rel *NNRelation, prob Problem, assigned []bool, v int, stats *PartitionStats) []int {
-	list := rel.Rows[v].NNList
+// LargestGroup is one step of the greedy walk: the largest candidate
+// {v} ∪ top_{j-1}(v) over rows that has no assigned member and is
+// compact, SN(prob.Agg, prob.C), within the cut and not excluded, or the
+// singleton {v} when none is. Partition runs it at every unassigned
+// anchor in ascending ID order; the incremental engine runs it at the
+// anchors a repair cannot adopt. stats, when non-nil, counts the
+// candidates examined and why each was rejected.
+func LargestGroup(rows []NNRow, prob Problem, assigned []bool, v int, stats *PartitionStats) []int {
+	if stats == nil {
+		stats = &PartitionStats{}
+	}
+	list := rows[v].NNList
 	jmax := len(list) + 1
 	if prob.Cut.MaxSize > 0 && jmax > prob.Cut.MaxSize {
 		jmax = prob.Cut.MaxSize
@@ -110,11 +118,11 @@ func largestCompactSNGroup(rel *NNRelation, prob Problem, assigned []bool, v int
 			stats.RejectedAssigned++
 			continue
 		}
-		if !IsCompactSet(rel.Rows, v, j) {
+		if !IsCompactSet(rows, v, j) {
 			stats.RejectedCompact++
 			continue
 		}
-		if !SNHolds(rel.Rows, group, prob.Agg, prob.C) {
+		if !SNHolds(rows, group, prob.Agg, prob.C) {
 			stats.RejectedSN++
 			continue
 		}

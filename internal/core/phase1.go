@@ -262,16 +262,7 @@ func lookupOne(idx nnindex.Index, cut Cut, p float64, id int, stats *Phase1Stats
 	stats.addProbes(1)
 	ng := 1 // the tuple itself is inside its own growth sphere
 	if len(list) > 0 {
-		nn := list[0].Dist
-		if nn == 0 {
-			// An exact duplicate at distance zero: the paper assumes
-			// distinct tuples have non-zero distances; we treat the
-			// growth sphere as the smallest positive radius, which
-			// counts exactly the zero-distance twins.
-			ng += idx.GrowthCount(id, smallestPositive)
-		} else {
-			ng += idx.GrowthCount(id, p*nn)
-		}
+		ng += idx.GrowthCount(id, GrowthRadius(list[0].Dist, p))
 		stats.addProbes(1)
 	} else if !cut.IsSize() {
 		// Diameter cut with an empty θ-neighborhood: nn(v) > θ, so the
@@ -295,9 +286,20 @@ func lookupOne(idx nnindex.Index, cut Cut, p float64, id int, stats *Phase1Stats
 // ZeroDistanceRadius is the growth-sphere radius used for tuples whose
 // nearest neighbor is at distance zero: the paper assumes distinct tuples
 // have non-zero distances, so the sphere degenerates to the smallest
-// positive radius, counting exactly the zero-distance twins. Exported so
-// the incremental engine reproduces phase-1 lookups bit-for-bit.
+// positive radius, counting exactly the zero-distance twins.
 const ZeroDistanceRadius = 1e-12
+
+// GrowthRadius is the growth-sphere radius phase 1 counts ng(v) within
+// for a tuple whose nearest neighbor lies at distance nn: p·nn, or
+// ZeroDistanceRadius for an exact duplicate. The incremental engine's
+// relookups and the blocked solve's certificate radii use it too, so
+// all three agree on the sphere bit for bit.
+func GrowthRadius(nn, p float64) float64 {
+	if nn == 0 {
+		return ZeroDistanceRadius
+	}
+	return p * nn
+}
 
 // smallestPositive is the radius used for zero-distance nearest neighbors.
 const smallestPositive = ZeroDistanceRadius

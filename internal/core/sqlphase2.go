@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -423,7 +422,7 @@ func (r *SQLRunner) Partition(prob Problem) ([][]int, error) {
 		rel := &NNRelation{Rows: rows, Cut: prob.Cut, P: prob.growthFactor()}
 		groups = splitNonMinimal(rel, groups, &PartitionStats{})
 	}
-	return sortGroups(groups), nil
+	return SortGroups(groups), nil
 }
 
 // SolveSQL runs the full pipeline with phase 2 executed as SQL: phase 1
@@ -464,15 +463,4 @@ func (r *SQLRunner) NGDistributionSQL() (map[int]int, error) {
 		hist[int(row[0].Int)] = int(row[1].Int)
 	}
 	return hist, nil
-}
-
-// sortGroupsCopy is a test helper ensuring deterministic comparison forms.
-func sortGroupsCopy(groups [][]int) [][]int {
-	out := make([][]int, len(groups))
-	for i, g := range groups {
-		out[i] = append([]int(nil), g...)
-		sort.Ints(out[i])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
 }

@@ -25,7 +25,7 @@ func TestSQLPartitionMatchesInMemoryTable1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(sortGroupsCopy(mem), sortGroupsCopy(sqlGroups)) {
+		if !reflect.DeepEqual(SortGroups(mem), SortGroups(sqlGroups)) {
 			t.Errorf("prob %+v: SQL and in-memory partitions differ\nmem: %v\nsql: %v",
 				prob, mem, sqlGroups)
 		}
@@ -49,7 +49,7 @@ func TestSQLPartitionMatchesInMemoryRandom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(sortGroupsCopy(mem), sortGroupsCopy(sqlGroups)) {
+			if !reflect.DeepEqual(SortGroups(mem), SortGroups(sqlGroups)) {
 				t.Fatalf("trial %d prob %+v: partitions differ\nmem: %v\nsql: %v",
 					trial, prob, mem, sqlGroups)
 			}
@@ -76,7 +76,7 @@ func TestSQLPartitionWithExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sortGroupsCopy(mem), sortGroupsCopy(sqlGroups)) {
+	if !reflect.DeepEqual(SortGroups(mem), SortGroups(sqlGroups)) {
 		t.Errorf("minimality differs: mem %v sql %v", mem, sqlGroups)
 	}
 
@@ -90,7 +90,7 @@ func TestSQLPartitionWithExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sortGroupsCopy(memEx), sortGroupsCopy(sqlEx)) {
+	if !reflect.DeepEqual(SortGroups(memEx), SortGroups(sqlEx)) {
 		t.Errorf("exclude differs: mem %v sql %v", memEx, sqlEx)
 	}
 }

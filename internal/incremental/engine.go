@@ -14,8 +14,8 @@
 //     removed tuple (who lists it, who counts it in a growth sphere,
 //     whose nearest neighbor it is) — no distance computations at all.
 //     For an insert, one linear scan computes the new tuple's distances
-//     (that scan is the new tuple's own lookup, so it is not extra work)
-//     and those exact distances decide membership in the dirty set.
+//     and those exact distances decide membership in the dirty set (the
+//     new tuple's own relookup then measures them a second time).
 //   - Phase 2 (stitched partition): re-run the greedy CS/SN partition,
 //     but re-evaluate only anchors whose inputs (their own row, a listed
 //     neighbor's row, or the assignment state of a listed neighbor at
@@ -23,24 +23,29 @@
 //     partition unexamined. The adoption check is exact, so the result is
 //     identical to a from-scratch solve of the mutated relation.
 //
-// Blocking candidate keys (internal/blocking) are maintained alongside as
-// a diagnostic layer: the paper's own argument (Section 6) is that
-// blocking cannot soundly bound nearest neighbors, so keys are never used
-// to prune the dirty set — but each repair reports how much of the dirty
-// set a blocking pass *would* have found, quantifying that argument live.
+// The engine keeps only what is incremental: the dirty sets, the watch
+// and reverse-watch edges, the slot bookkeeping, and group adoption. The
+// solver itself is shared with the batch path: a relookup selects its
+// list with nnindex.Selection and sizes its sphere with
+// core.GrowthRadius, a re-evaluated anchor runs core.LargestGroup, and
+// Groups orders with core.SortGroups.
+//
+// Blocking never bounds the dirty set: the paper's Section 6 argues it
+// cannot soundly bound nearest neighbors, and the abl-blocking
+// experiment (experiments.BlockingAblation) measures how much of the
+// neighborhood structure it misses.
 //
 // The engine identifies records by stable integer IDs (slots). Deleted
 // slots are reused by later inserts. It is not safe for concurrent use.
 package incremental
 
 import (
-	"container/heap"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
-	"fuzzydup/internal/blocking"
 	"fuzzydup/internal/core"
 	"fuzzydup/internal/distance"
 	"fuzzydup/internal/nnindex"
@@ -66,9 +71,6 @@ type Config struct {
 	MinimalCompact bool
 	// Exclude is the constraining predicate over stable record IDs.
 	Exclude func(a, b int) bool
-	// BlockKeys derives the diagnostic blocking keys (default
-	// blocking.TokenKeys(3)).
-	BlockKeys blocking.KeyFunc
 	// Tracer, when non-nil, receives an "incremental.repair" span per
 	// mutation with "phase1"/"phase2" children.
 	Tracer *obs.Tracer
@@ -93,13 +95,6 @@ type RepairStats struct {
 	Reevaluated int `json:"reevaluated"`
 	// DistanceCalls is the number of metric invocations the repair cost.
 	DistanceCalls int64 `json:"distance_calls"`
-	// BlockCandidates is the number of live records sharing at least one
-	// blocking key with the mutated record; DirtyBlocked how many dirty
-	// tuples were among them. DirtyBlocked < DirtyLookups-1 exhibits the
-	// paper's Section 6 argument that blocking under-covers the
-	// neighborhood structure.
-	BlockCandidates int `json:"block_candidates"`
-	DirtyBlocked    int `json:"dirty_blocked"`
 	// Phase1 and Phase2 are the wall-clock durations of the dirty-row
 	// relookup and the stitched partition.
 	Phase1 time.Duration `json:"phase1_ns"`
@@ -109,9 +104,9 @@ type RepairStats struct {
 // Engine is the incremental dedup state. Create with New, mutate with
 // Insert/Delete/Update, read with Groups. Not safe for concurrent use.
 type Engine struct {
-	cfg    Config
-	p      float64
+	prob   core.Problem // the Config's problem, P resolved
 	metric *distance.Counting
+	tracer *obs.Tracer
 
 	keys []string
 	live []bool
@@ -124,8 +119,6 @@ type Engine struct {
 	radius []float64          // growth-sphere radius (0 when alone)
 	watch  [][]int            // sorted watch set: NN-list ∪ growth sphere ∪ {nn}
 	rev    []map[int]struct{} // rev[u] = slots whose watch set contains u
-
-	blocks map[string]map[int]struct{} // blocking key -> slots (diagnostic)
 
 	groups  [][]int // canonical pre-split partition of live slots
 	groupOf []int   // slot -> index into groups (-1 for dead slots)
@@ -142,46 +135,29 @@ func New(keys []string, cfg Config) (*Engine, error) {
 	if cfg.Metric == nil {
 		return nil, fmt.Errorf("incremental: nil metric")
 	}
-	prob := core.Problem{Cut: cfg.Cut, Agg: cfg.Agg, C: cfg.C, P: cfg.P}
+	prob := core.Problem{
+		Cut:            cfg.Cut,
+		Agg:            cfg.Agg,
+		C:              cfg.C,
+		P:              cfg.P,
+		MinimalCompact: cfg.MinimalCompact,
+		Exclude:        cfg.Exclude,
+	}
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
-	p := cfg.P
-	if p == 0 {
-		p = core.DefaultP
+	if prob.P == 0 {
+		prob.P = core.DefaultP
 	}
-	if cfg.BlockKeys == nil {
-		cfg.BlockKeys = blocking.TokenKeys(3)
-	}
-	e := &Engine{
-		cfg:    cfg,
-		p:      p,
-		metric: distance.NewCounting(cfg.Metric),
-		blocks: make(map[string]map[int]struct{}),
-	}
-	t0 := time.Now()
-	for _, k := range keys {
-		e.addSlot(k)
-	}
-	dirty := make(map[int]struct{}, len(keys))
-	for id := range keys {
-		e.relookup(id)
-		dirty[id] = struct{}{}
-	}
-	phase1 := time.Since(t0)
-	t1 := time.Now()
-	adopted, reeval := e.repartition(dirty)
-	e.last = RepairStats{
-		Op:            "build",
-		ID:            -1,
-		Live:          e.nLiv,
-		DirtyLookups:  len(keys),
-		Adopted:       adopted,
-		Reevaluated:   reeval,
-		DistanceCalls: e.metric.Calls(),
-		Phase1:        phase1,
-		Phase2:        time.Since(t1),
-	}
+	e := &Engine{prob: prob, metric: distance.NewCounting(cfg.Metric), tracer: cfg.Tracer}
+	// The build is one repair with every slot dirty; it emits no span.
+	e.repair(nil, "build", func() (int, map[int]struct{}) {
+		dirty := make(map[int]struct{}, len(keys))
+		for _, k := range keys {
+			dirty[e.addSlot(k)] = struct{}{}
+		}
+		return -1, dirty
+	})
 	return e, nil
 }
 
@@ -221,7 +197,7 @@ func (e *Engine) DistanceCalls() int64 { return e.metric.Calls() }
 func (e *Engine) Groups() [][]int {
 	var out [][]int
 	for _, g := range e.groups {
-		if e.cfg.MinimalCompact {
+		if e.prob.MinimalCompact {
 			for _, piece := range core.SplitMinimal(e.rows, g) {
 				out = append(out, append([]int(nil), piece...))
 			}
@@ -229,35 +205,18 @@ func (e *Engine) Groups() [][]int {
 			out = append(out, append([]int(nil), g...))
 		}
 	}
-	return canonicalize(out)
+	return core.SortGroups(out)
 }
 
 // Insert adds a record and repairs the state, returning its stable ID.
 // Deleted IDs are reused (smallest first).
 func (e *Engine) Insert(key string) int {
-	span := e.cfg.Tracer.Start("incremental.repair")
-	defer span.End()
-	calls0 := e.metric.Calls()
-	t0 := time.Now()
-	s := e.allocSlot(key)
-	dirty := e.insertDirty(s)
-	sorted := sortedSet(dirty)
-	for _, d := range sorted {
-		e.relookup(d)
-	}
-	phase1 := time.Since(t0)
-	t1 := time.Now()
-	adopted, reeval := e.repartition(dirty)
-	e.finishRepair(span, RepairStats{
-		Op:           "insert",
-		ID:           s,
-		DirtyLookups: len(sorted),
-		Adopted:      adopted,
-		Reevaluated:  reeval,
-		Phase1:       phase1,
-		Phase2:       time.Since(t1),
-	}, calls0, key, dirty)
-	return s
+	return e.repair(e.tracer.Start("incremental.repair"), "insert", func() (int, map[int]struct{}) {
+		s := e.allocSlot(key)
+		dirty := map[int]struct{}{s: {}}
+		e.insertDirty(s, dirty)
+		return s, dirty
+	})
 }
 
 // Delete removes a record by stable ID and repairs the state.
@@ -265,35 +224,17 @@ func (e *Engine) Delete(id int) error {
 	if id < 0 || id >= len(e.keys) || !e.live[id] {
 		return fmt.Errorf("incremental: no live record %d", id)
 	}
-	span := e.cfg.Tracer.Start("incremental.repair")
-	defer span.End()
-	calls0 := e.metric.Calls()
-	key := e.keys[id]
-	t0 := time.Now()
-	dirty := make(map[int]struct{}, len(e.rev[id])+1)
-	for w := range e.rev[id] {
-		dirty[w] = struct{}{}
-	}
-	e.freeSlot(id)
-	sorted := sortedSet(dirty)
-	for _, d := range sorted {
-		e.relookup(d)
-	}
-	phase1 := time.Since(t0)
-	// The dead slot joins the dirty set for partitioning: its old group
-	// must dissolve even when no live row changed (a pure singleton).
-	dirty[id] = struct{}{}
-	t1 := time.Now()
-	adopted, reeval := e.repartition(dirty)
-	e.finishRepair(span, RepairStats{
-		Op:           "delete",
-		ID:           id,
-		DirtyLookups: len(sorted),
-		Adopted:      adopted,
-		Reevaluated:  reeval,
-		Phase1:       phase1,
-		Phase2:       time.Since(t1),
-	}, calls0, key, dirty)
+	e.repair(e.tracer.Start("incremental.repair"), "delete", func() (int, map[int]struct{}) {
+		// Everyone who watched the record is dirty. The dead slot joins
+		// the dirty set for partitioning only: its old group must
+		// dissolve even when no live row changed (a pure singleton).
+		dirty := map[int]struct{}{id: {}}
+		for w := range e.rev[id] {
+			dirty[w] = struct{}{}
+		}
+		e.freeSlot(id)
+		return id, dirty
+	})
 	return nil
 }
 
@@ -303,54 +244,61 @@ func (e *Engine) Update(id int, key string) error {
 	if id < 0 || id >= len(e.keys) || !e.live[id] {
 		return fmt.Errorf("incremental: no live record %d", id)
 	}
-	span := e.cfg.Tracer.Start("incremental.repair")
+	e.repair(e.tracer.Start("incremental.repair"), "update", func() (int, map[int]struct{}) {
+		// Old-side dirtiness: everyone who watched the old content.
+		dirty := map[int]struct{}{id: {}}
+		for w := range e.rev[id] {
+			dirty[w] = struct{}{}
+		}
+		// New-side dirtiness: everyone the new content newly reaches.
+		e.keys[id] = key
+		e.insertDirty(id, dirty)
+		return id, dirty
+	})
+	return nil
+}
+
+// repair is the tail every mutation shares. change applies the mutation
+// and returns its target ID and dirty set; repair then relooks up every
+// live dirty slot in ascending order, re-runs the stitched partition, and
+// records the stats, with change's own work counted toward phase 1. span
+// (nil for the build) receives the repair's counters and is ended.
+func (e *Engine) repair(span *obs.Span, op string, change func() (int, map[int]struct{})) int {
 	defer span.End()
 	calls0 := e.metric.Calls()
 	t0 := time.Now()
-	// Old-side dirtiness: everyone who watched the old content.
-	dirty := map[int]struct{}{id: {}}
-	for w := range e.rev[id] {
-		dirty[w] = struct{}{}
-	}
-	e.unblockKey(id, e.keys[id])
-	e.keys[id] = key
-	e.blockKey(id, key)
-	// New-side dirtiness: everyone the new content newly reaches.
-	e.insertDirtyInto(id, dirty)
-	sorted := sortedSet(dirty)
-	for _, d := range sorted {
-		e.relookup(d)
+	id, dirty := change()
+	lookups := 0
+	for _, d := range slices.Sorted(maps.Keys(dirty)) {
+		if e.live[d] {
+			e.relookup(d)
+			lookups++
+		}
 	}
 	phase1 := time.Since(t0)
 	t1 := time.Now()
 	adopted, reeval := e.repartition(dirty)
-	e.finishRepair(span, RepairStats{
-		Op:           "update",
-		ID:           id,
-		DirtyLookups: len(sorted),
-		Adopted:      adopted,
-		Reevaluated:  reeval,
-		Phase1:       phase1,
-		Phase2:       time.Since(t1),
-	}, calls0, key, dirty)
-	return nil
-}
-
-// finishRepair fills the shared stat fields and emits the span counters.
-func (e *Engine) finishRepair(span *obs.Span, st RepairStats, calls0 int64, key string, dirty map[int]struct{}) {
-	st.Live = e.nLiv
-	st.DistanceCalls = e.metric.Calls() - calls0
-	st.BlockCandidates, st.DirtyBlocked = e.blockCoverage(key, dirty, st.ID)
-	e.last = st
+	e.last = RepairStats{
+		Op:            op,
+		ID:            id,
+		Live:          e.nLiv,
+		DirtyLookups:  lookups,
+		Adopted:       adopted,
+		Reevaluated:   reeval,
+		DistanceCalls: e.metric.Calls() - calls0,
+		Phase1:        phase1,
+		Phase2:        time.Since(t1),
+	}
 	p1 := span.Child("phase1")
-	p1.Add("dirty_lookups", int64(st.DirtyLookups))
-	p1.Add("distance_calls", st.DistanceCalls)
+	p1.Add("dirty_lookups", int64(lookups))
+	p1.Add("distance_calls", e.last.DistanceCalls)
 	p1.End()
 	p2 := span.Child("phase2")
-	p2.Add("adopted", int64(st.Adopted))
-	p2.Add("reevaluated", int64(st.Reevaluated))
+	p2.Add("adopted", int64(adopted))
+	p2.Add("reevaluated", int64(reeval))
 	p2.End()
-	span.Add("live", int64(st.Live))
+	span.Add("live", int64(e.nLiv))
+	return id
 }
 
 // --- slot bookkeeping ---------------------------------------------------
@@ -368,7 +316,6 @@ func (e *Engine) addSlot(key string) int {
 	e.groupOf = append(e.groupOf, -1)
 	e.dists = append(e.dists, 0)
 	e.nLiv++
-	e.blockKey(s, key)
 	return s
 }
 
@@ -388,20 +335,18 @@ func (e *Engine) allocSlot(key string) int {
 	e.keys[s] = key
 	e.live[s] = true
 	e.nLiv++
-	e.blockKey(s, key)
 	return s
 }
 
-// freeSlot kills a slot: drops its watch edges, its blocking keys, and its
-// row, and returns it to the free list. rev[id] is cleared lazily — every
-// watcher is relooked up right after, which removes its stale edge.
+// freeSlot kills a slot: drops its watch edges and its row, and returns
+// it to the free list. rev[id] is cleared lazily — every watcher is
+// relooked up right after, which removes its stale edge.
 func (e *Engine) freeSlot(id int) {
 	for _, w := range e.watch[id] {
 		delete(e.rev[w], id)
 	}
 	e.watch[id] = nil
 	e.rev[id] = make(map[int]struct{})
-	e.unblockKey(id, e.keys[id])
 	e.keys[id] = ""
 	e.live[id] = false
 	e.rows[id] = core.NNRow{}
@@ -412,61 +357,12 @@ func (e *Engine) freeSlot(id int) {
 	e.free = append(e.free, id)
 }
 
-// --- blocking diagnostics ------------------------------------------------
-
-func (e *Engine) blockKey(id int, key string) {
-	for _, bk := range e.cfg.BlockKeys(key) {
-		set := e.blocks[bk]
-		if set == nil {
-			set = make(map[int]struct{})
-			e.blocks[bk] = set
-		}
-		set[id] = struct{}{}
-	}
-}
-
-func (e *Engine) unblockKey(id int, key string) {
-	for _, bk := range e.cfg.BlockKeys(key) {
-		if set := e.blocks[bk]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(e.blocks, bk)
-			}
-		}
-	}
-}
-
-// blockCoverage reports how many live records share a blocking key with
-// the mutated record, and how many of the dirty tuples are among them.
-func (e *Engine) blockCoverage(key string, dirty map[int]struct{}, self int) (candidates, dirtyHit int) {
-	cand := make(map[int]struct{})
-	for _, bk := range e.cfg.BlockKeys(key) {
-		for id := range e.blocks[bk] {
-			if id != self && e.live[id] {
-				cand[id] = struct{}{}
-			}
-		}
-	}
-	for id := range dirty {
-		if _, ok := cand[id]; ok {
-			dirtyHit++
-		}
-	}
-	return len(cand), dirtyHit
-}
-
 // --- phase 1: dirty detection and relookup -------------------------------
 
-// insertDirty computes the dirty set for a fresh slot s: s itself plus
-// every live tuple whose NN list, nearest neighbor, or growth sphere the
-// new record enters, decided from exact distances.
-func (e *Engine) insertDirty(s int) map[int]struct{} {
-	dirty := map[int]struct{}{s: {}}
-	e.insertDirtyInto(s, dirty)
-	return dirty
-}
-
-func (e *Engine) insertDirtyInto(s int, dirty map[int]struct{}) {
+// insertDirty adds to dirty every live tuple whose NN list, nearest
+// neighbor, or growth sphere the (new or re-keyed) record in slot s
+// enters, decided from exact distances.
+func (e *Engine) insertDirty(s int, dirty map[int]struct{}) {
 	key := e.keys[s]
 	for u := range e.keys {
 		if u == s || !e.live[u] {
@@ -483,9 +379,9 @@ func (e *Engine) insertDirtyInto(s int, dirty map[int]struct{}) {
 // can change live tuple u's phase-1 row. The checks mirror exactly what
 // the row stores: the cut-bounded NN list, nn(u), and the growth sphere.
 func (e *Engine) insertAffects(u int, d float64, s int) bool {
-	if e.cfg.Cut.IsSize() {
+	if e.prob.Cut.IsSize() {
 		list := e.rows[u].NNList
-		k := e.cfg.Cut.MaxSize
+		k := e.prob.Cut.MaxSize
 		if len(list) < k {
 			return true // the list has room: s joins it
 		}
@@ -493,7 +389,7 @@ func (e *Engine) insertAffects(u int, d float64, s int) bool {
 		if d < last.Dist || (d == last.Dist && s < last.ID) {
 			return true // s displaces the current k-th neighbor
 		}
-	} else if d < e.cfg.Cut.Diameter {
+	} else if d < e.prob.Cut.Diameter {
 		return true // s enters u's θ-neighborhood
 	}
 	if e.nnID[u] == -1 {
@@ -515,8 +411,17 @@ func (e *Engine) relookup(v int) {
 	for _, w := range e.watch[v] {
 		delete(e.rev[w], v)
 	}
+	// The list is the K nearest (size cut) or every neighbor closer than
+	// θ (diameter and combined cuts), as nnindex.Exact answers them.
+	size := e.prob.Cut.IsSize()
+	k := e.prob.Cut.MaxSize
+	if !size {
+		k = len(e.keys)
+	}
+	sel := nnindex.NewSelection(k)
+	// One pass measures every live distance once, into the scratch buffer
+	// the growth sphere is counted from.
 	key := e.keys[v]
-	// One pass computes all live distances into the scratch buffer.
 	nnD, nnI := math.Inf(1), -1
 	for u := range e.keys {
 		if u == v || !e.live[u] {
@@ -524,26 +429,18 @@ func (e *Engine) relookup(v int) {
 		}
 		d := e.metric.Distance(key, e.keys[u])
 		e.dists[u] = d
-		if d < nnD || (d == nnD && u < nnI) {
+		if d < nnD {
 			nnD, nnI = d, u
 		}
+		if size || d < e.prob.Cut.Diameter {
+			sel.Offer(nnindex.Neighbor{ID: u, Dist: d})
+		}
 	}
+	list := sel.Sorted()
 
-	var list []nnindex.Neighbor
-	if e.cfg.Cut.IsSize() {
-		list = e.topK(v, e.cfg.Cut.MaxSize)
-	} else {
-		list = e.inRange(v, e.cfg.Cut.Diameter)
-	}
-
-	var r float64
-	switch {
-	case nnI == -1:
-		r = 0
-	case nnD == 0:
-		r = core.ZeroDistanceRadius
-	default:
-		r = e.p * nnD
+	var r float64 // a tuple alone has no growth sphere
+	if nnI >= 0 {
+		r = core.GrowthRadius(nnD, e.prob.P)
 	}
 	ng := 1 // the tuple itself is inside its own growth sphere
 	watch := make([]int, 0, len(list)+4)
@@ -564,7 +461,8 @@ func (e *Engine) relookup(v int) {
 	if nnI >= 0 {
 		watch = append(watch, nnI)
 	}
-	watch = dedupSorted(watch)
+	slices.Sort(watch)
+	watch = slices.Compact(watch)
 
 	e.rows[v] = core.NNRow{NNList: list, NG: ng}
 	e.nnDist[v] = nnD
@@ -574,112 +472,4 @@ func (e *Engine) relookup(v int) {
 	for _, w := range watch {
 		e.rev[w][v] = struct{}{}
 	}
-}
-
-// neighborHeap is a max-heap under the (dist, ID) order, holding the best
-// k candidates seen so far with the worst at the root.
-type neighborHeap []nnindex.Neighbor
-
-func (h neighborHeap) Len() int { return len(h) }
-func (h neighborHeap) Less(i, j int) bool {
-	if h[i].Dist != h[j].Dist {
-		return h[i].Dist > h[j].Dist
-	}
-	return h[i].ID > h[j].ID
-}
-func (h neighborHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *neighborHeap) Push(x any)   { *h = append(*h, x.(nnindex.Neighbor)) }
-func (h *neighborHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// topK selects the k nearest live neighbors of v from the scratch
-// distances, ordered by ascending (distance, ID) — identical to
-// nnindex.Exact.TopK without sorting the whole relation.
-func (e *Engine) topK(v, k int) []nnindex.Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	if k > len(e.keys) {
-		k = len(e.keys) // no list outgrows the corpus; a huge K must not size the heap
-	}
-	h := make(neighborHeap, 0, k+1)
-	for u := range e.keys {
-		if u == v || !e.live[u] {
-			continue
-		}
-		nb := nnindex.Neighbor{ID: u, Dist: e.dists[u]}
-		if len(h) < k {
-			heap.Push(&h, nb)
-			continue
-		}
-		worst := h[0]
-		if nb.Dist < worst.Dist || (nb.Dist == worst.Dist && nb.ID < worst.ID) {
-			h[0] = nb
-			heap.Fix(&h, 0)
-		}
-	}
-	out := []nnindex.Neighbor(h)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// inRange collects all live neighbors of v with distance < theta, ordered
-// by ascending (distance, ID) — identical to nnindex.Exact.Range.
-func (e *Engine) inRange(v int, theta float64) []nnindex.Neighbor {
-	var out []nnindex.Neighbor
-	for u := range e.keys {
-		if u == v || !e.live[u] {
-			continue
-		}
-		if e.dists[u] < theta {
-			out = append(out, nnindex.Neighbor{ID: u, Dist: e.dists[u]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// --- helpers -------------------------------------------------------------
-
-func sortedSet(s map[int]struct{}) []int {
-	out := make([]int, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func dedupSorted(s []int) []int {
-	sort.Ints(s)
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func canonicalize(groups [][]int) [][]int {
-	for _, g := range groups {
-		sort.Ints(g)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
-	return groups
 }

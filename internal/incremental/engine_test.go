@@ -141,8 +141,8 @@ func checkRowsMatchBatch(t *testing.T, e *Engine, context string) {
 		dense[id] = i
 		keys[i] = e.keys[id]
 	}
-	idx := nnindex.NewExact(keys, e.cfg.Metric)
-	rel, err := core.ComputeNN(idx, e.cfg.Cut, e.p, core.Phase1Options{Order: core.OrderSequential})
+	idx := nnindex.NewExact(keys, e.metric.Unwrap())
+	rel, err := core.ComputeNN(idx, e.prob.Cut, e.prob.P, core.Phase1Options{Order: core.OrderSequential})
 	if err != nil {
 		t.Fatalf("%s: batch phase 1: %v", context, err)
 	}
@@ -448,9 +448,6 @@ func TestRepairLocality(t *testing.T) {
 	}
 	if st.Adopted < 15 {
 		t.Fatalf("only %d groups adopted (reevaluated %d) after a local insert", st.Adopted, st.Reevaluated)
-	}
-	if st.BlockCandidates < st.DirtyBlocked {
-		t.Fatalf("blocking stats inconsistent: %d candidates, %d dirty hits", st.BlockCandidates, st.DirtyBlocked)
 	}
 	checkEquivalent(t, e, cfg, "cluster insert")
 }

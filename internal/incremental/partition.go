@@ -62,7 +62,7 @@ func (e *Engine) repartition(dirty map[int]struct{}) (adopted, reeval int) {
 			adopted++
 		} else {
 			reeval++
-			g = e.largestGroup(v, assigned)
+			g = core.LargestGroup(e.rows, e.prob, assigned, v, nil)
 		}
 		sort.Ints(g)
 		gi := len(groups)
@@ -97,8 +97,8 @@ func (e *Engine) tryAdopt(v int, oldGroups [][]int, oldGroupOf []int, oldAnchor 
 	}
 	list := e.rows[v].NNList
 	jmax := len(list) + 1
-	if e.cfg.Cut.MaxSize > 0 && jmax > e.cfg.Cut.MaxSize {
-		jmax = e.cfg.Cut.MaxSize
+	if e.prob.Cut.MaxSize > 0 && jmax > e.prob.Cut.MaxSize {
+		jmax = e.prob.Cut.MaxSize
 	}
 	for _, nb := range list[:jmax-1] {
 		m := nb.ID
@@ -119,52 +119,4 @@ func (e *Engine) tryAdopt(v int, oldGroups [][]int, oldGroupOf []int, oldAnchor 
 		}
 	}
 	return append([]int(nil), og...)
-}
-
-// largestGroup mirrors core's largestCompactSNGroup over the engine's live
-// rows: the largest candidate {v} ∪ top_{j-1}(v) that is unassigned,
-// compact, sparse-neighborhood, and not excluded, else the singleton.
-func (e *Engine) largestGroup(v int, assigned []bool) []int {
-	list := e.rows[v].NNList
-	jmax := len(list) + 1
-	if e.cfg.Cut.MaxSize > 0 && jmax > e.cfg.Cut.MaxSize {
-		jmax = e.cfg.Cut.MaxSize
-	}
-	for j := jmax; j >= 2; j-- {
-		group := make([]int, 0, j)
-		group = append(group, v)
-		ok := true
-		for _, nb := range list[:j-1] {
-			if assigned[nb.ID] {
-				ok = false
-				break
-			}
-			group = append(group, nb.ID)
-		}
-		if !ok {
-			continue
-		}
-		if !core.IsCompactSet(e.rows, v, j) {
-			continue
-		}
-		if !core.SNHolds(e.rows, group, e.cfg.Agg, e.cfg.C) {
-			continue
-		}
-		if e.cfg.Exclude != nil && violatesExclude(group, e.cfg.Exclude) {
-			continue
-		}
-		return group
-	}
-	return []int{v}
-}
-
-func violatesExclude(group []int, exclude func(a, b int) bool) bool {
-	for i := 0; i < len(group); i++ {
-		for k := i + 1; k < len(group); k++ {
-			if exclude(group[i], group[k]) {
-				return true
-			}
-		}
-	}
-	return false
 }

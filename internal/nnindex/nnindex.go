@@ -89,35 +89,53 @@ func (e *Exact) TopK(id, k int) []Neighbor {
 }
 
 // nearest is the exact top-k selection: the k nearest keys to q,
-// skipping ID skip (-1 for none), ascending by (distance, ID); k is
-// clamped to n. It keeps the k nearest seen so far in a bounded max-heap
-// ordered by (distance, ID) — O(n log k) instead of sorting all n
-// neighbors — which is what makes the exact index usable as the
-// per-block engine of the sharded solve and as the full-solve reference
-// at 50k records. The output is bit-identical to sorting the whole
-// neighbor list and truncating: (distance, ID) is a total order, so the
-// k smallest elements are unique.
+// skipping ID skip (-1 for none), ascending by (distance, ID).
 func (e *Exact) nearest(q string, skip, k int) []Neighbor {
-	if k > len(e.keys) {
-		k = len(e.keys)
-	}
-	// h is a max-heap on (Dist, ID): h[0] is the worst of the k best.
-	h := make([]Neighbor, 0, k)
+	sel := NewSelection(k)
 	for u, key := range e.keys {
-		if u == skip {
-			continue
-		}
-		nb := Neighbor{ID: u, Dist: e.metric.Distance(q, key)}
-		if len(h) < k {
-			h = append(h, nb)
-			siftUp(h, len(h)-1)
-		} else if neighborLess(nb, h[0]) {
-			h[0] = nb
-			siftDown(h, 0)
+		if u != skip {
+			sel.Offer(Neighbor{ID: u, Dist: e.metric.Distance(q, key)})
 		}
 	}
-	sortNeighbors(h)
-	return h
+	return sel.Sorted()
+}
+
+// Selection keeps the k nearest of the neighbors offered to it, under
+// the (distance, ID) order every index answers in. It holds them in a
+// bounded max-heap — O(n log k) over n offers instead of sorting all n —
+// which is what makes the exact index usable as the per-block engine of
+// the sharded solve and as the full-solve reference at 50k records, and
+// what the incremental engine's relookups select with. The result is
+// bit-identical to sorting every offered neighbor and truncating:
+// (distance, ID) is a total order, so the k smallest are unique. The
+// heap grows with the offers, so a k beyond the candidates sizes
+// nothing.
+type Selection struct {
+	k int
+	h []Neighbor // max-heap on (Dist, ID): h[0] is the worst of the k best
+}
+
+// NewSelection starts a selection of at most k neighbors (none when
+// k <= 0). An empty selection sorts to a non-nil empty list, like Range.
+func NewSelection(k int) Selection { return Selection{k: k, h: []Neighbor{}} }
+
+// Offer considers one candidate neighbor.
+func (s *Selection) Offer(nb Neighbor) {
+	switch {
+	case len(s.h) < s.k:
+		s.h = append(s.h, nb)
+		siftUp(s.h, len(s.h)-1)
+	case s.k > 0 && neighborLess(nb, s.h[0]):
+		s.h[0] = nb
+		siftDown(s.h, 0)
+	}
+}
+
+// Sorted returns the selected neighbors ascending by (distance, ID). The
+// selection must not be offered more neighbors afterwards.
+func (s *Selection) Sorted() []Neighbor {
+	sortNeighbors(s.h)
+	return s.h
 }
 
 // neighborLess is the (distance, ID) total order shared by the heap and

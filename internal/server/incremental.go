@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 
 	"fuzzydup"
+	"fuzzydup/internal/core"
 	"fuzzydup/internal/obs"
 )
 
@@ -203,33 +203,28 @@ func (e *Engine) solveIncremental(j *job) error {
 		return err
 	}
 
-	// Relabel the engine's stable-ID groups into snapshot indexes and
-	// restore canonical order (ascending members, groups by smallest
-	// member), the same shape batch results use.
+	// Relabel the engine's stable-ID groups into snapshot indexes, then
+	// order and pick medoids over those indexes, as a batch job does: the
+	// engine's slot order is not dataset order once a slot is reused.
 	idxOf := make(map[int64]int, len(rids))
 	for i, rid := range rids {
 		idxOf[rid] = i
 	}
-	type labeled struct {
-		group []int
-		rep   int
-	}
-	parts := make([]labeled, 0, len(records))
+	var groups fuzzydup.Groups
 	for _, g := range sess.inc.Groups() {
-		rep := sess.inc.Representative(g)
 		m := make([]int, len(g))
 		for i, id := range g {
 			m[i] = idxOf[sess.ridOf[id]]
 		}
-		sort.Ints(m)
-		parts = append(parts, labeled{group: m, rep: idxOf[sess.ridOf[rep]]})
+		groups = append(groups, m)
 	}
-	sort.Slice(parts, func(a, b int) bool { return parts[a].group[0] < parts[b].group[0] })
-	var groups fuzzydup.Groups
-	reps := make([]int, 0, len(parts))
-	for _, p := range parts {
-		groups = append(groups, p.group)
-		reps = append(reps, p.rep)
+	core.SortGroups(groups)
+	dist := func(a, b int) float64 {
+		return sess.inc.Distance(sess.byRID[rids[a]], sess.byRID[rids[b]])
+	}
+	reps := make([]int, len(groups))
+	for i, g := range groups {
+		reps[i] = core.Medoid(g, dist)
 	}
 	j.stash(records, rids, rev, []SweepResult{j.solved(j.points[0], groups, reps)})
 	return nil

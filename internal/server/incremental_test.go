@@ -82,10 +82,10 @@ func submitJob(t *testing.T, base, body string) JobStatus {
 	return st
 }
 
-// batchGroups runs a from-scratch batch job with the given sweep body
-// and returns its groups — the ground truth an incremental result must
-// match.
-func batchGroups(t *testing.T, base, dsID string) [][]int {
+// batchResult runs a from-scratch batch job with the given sweep body
+// and returns its result — the ground truth an incremental result must
+// match, groups and representatives alike.
+func batchResult(t *testing.T, base, dsID string) SweepResult {
 	t.Helper()
 	st := submitJob(t, base, fmt.Sprintf(`{"dataset":%q,"mode":"size","k":[3],"c":[4]}`, dsID))
 	waitForState(t, base, st.ID, StateDone)
@@ -93,7 +93,20 @@ func batchGroups(t *testing.T, base, dsID string) [][]int {
 	if code := doJSON(t, "GET", base+"/v1/jobs/"+st.ID+"/result", "", "", &res); code != http.StatusOK {
 		t.Fatalf("batch result: status %d", code)
 	}
-	return res.Results[0].Groups
+	return res.Results[0]
+}
+
+// checkMatchesBatch compares an incremental result with a batch job on
+// the same dataset revision.
+func checkMatchesBatch(t *testing.T, base, dsID string, got SweepResult) {
+	t.Helper()
+	want := batchResult(t, base, dsID)
+	if !reflect.DeepEqual(got.Groups, want.Groups) {
+		t.Fatalf("incremental %v != batch %v", got.Groups, want.Groups)
+	}
+	if !reflect.DeepEqual(got.Representatives, want.Representatives) {
+		t.Fatalf("incremental representatives %v != batch %v (groups %v)", got.Representatives, want.Representatives, got.Groups)
+	}
 }
 
 // TestIncrementalJobHTTP exercises the full service flow: open an
@@ -120,15 +133,14 @@ func TestIncrementalJobHTTP(t *testing.T) {
 		t.Fatalf("result records %d, rids %v", res.Records, res.RecordIDs)
 	}
 	assertPartition(t, res.Results[0], 10)
-	if want := batchGroups(t, ts.URL, dsID); !reflect.DeepEqual(res.Results[0].Groups, want) {
-		t.Fatalf("incremental %v != batch %v", res.Results[0].Groups, want)
-	}
+	checkMatchesBatch(t, ts.URL, dsID, res.Results[0])
 	if s.Metrics().incrementalSessions.Value() != 1 {
 		t.Fatalf("sessions = %d", s.Metrics().incrementalSessions.Value())
 	}
 
 	// repairResult follows a mutation's auto-submitted repair job and
-	// checks the repaired groups against a fresh batch solve.
+	// checks the repaired groups and representatives against a fresh
+	// batch solve.
 	repairResult := func(repairJob string, wantRecords int) JobResult {
 		t.Helper()
 		if repairJob == "" {
@@ -143,9 +155,7 @@ func TestIncrementalJobHTTP(t *testing.T) {
 			t.Fatalf("repair records = %d, want %d", rr.Records, wantRecords)
 		}
 		assertPartition(t, rr.Results[0], wantRecords)
-		if want := batchGroups(t, ts.URL, dsID); !reflect.DeepEqual(rr.Results[0].Groups, want) {
-			t.Fatalf("repaired %v != batch %v", rr.Results[0].Groups, want)
-		}
+		checkMatchesBatch(t, ts.URL, dsID, rr.Results[0])
 		return rr
 	}
 
@@ -181,6 +191,20 @@ func TestIncrementalJobHTTP(t *testing.T) {
 	if got := s.Metrics().repairsRun.Value(); got < 3 {
 		t.Errorf("repairs_run = %d, want >= 3", got)
 	}
+
+	// Delete the Miles Davis row (rid 7), then append a second copy of the
+	// replaced row: the append reuses a freed engine slot smaller than its
+	// group mates', so slot order and dataset order disagree, and the
+	// representative must still follow dataset order as a batch job's does.
+	if code := doJSON(t, "DELETE", ts.URL+"/v1/datasets/"+dsID+"/records/7", "", "", &mut); code != http.StatusOK {
+		t.Fatalf("delete record: status %d", code)
+	}
+	repairResult(mut.RepairJob, 9)
+	if code := doJSON(t, "POST", ts.URL+"/v1/datasets/"+dsID+"/records",
+		"application/x-ndjson", `["Stevie Wonder","Innervision"]`+"\n", &app); code != http.StatusOK {
+		t.Fatalf("append: status %d", code)
+	}
+	repairResult(app.RepairJob, 10)
 
 	// Mutating a rid that never existed is a 404.
 	if code := doJSON(t, "DELETE", ts.URL+"/v1/datasets/"+dsID+"/records/999", "", "", nil); code != http.StatusNotFound {

@@ -793,28 +793,16 @@ func (e *Engine) run(j *job) {
 		e.publishSnapshot(j)
 	}
 
-	j.mu.Lock()
-	j.state = state
-	switch state {
-	case StateCancelled:
-		e.metrics.jobsCancelled.Add(1)
-	case StateFailed:
-		e.metrics.jobsFailed.Add(1)
-	default:
-		e.metrics.jobsDone.Add(1)
-	}
-	jobErr := j.err
-	j.mu.Unlock()
-	j.cancel() // release the context's resources
-
+	// The finish log line and the slow-op note land before the state
+	// flips too: a client that observes the job as done finds both.
 	attrs := []any{
 		"job_id", j.id,
 		"state", state,
 		"duration_us", elapsed.Microseconds(),
 		"request_id", j.requestID,
 	}
-	if jobErr != nil {
-		attrs = append(attrs, "error", jobErr.Error())
+	if finErr != nil {
+		attrs = append(attrs, "error", finErr.Error())
 	}
 	e.logger.Info("job finished", attrs...)
 
@@ -824,8 +812,8 @@ func (e *Engine) run(j *job) {
 			Job:       j.id,
 			RequestID: j.requestID,
 		}
-		if jobErr != nil {
-			op.Error = jobErr.Error()
+		if finErr != nil {
+			op.Error = finErr.Error()
 		}
 		j.mu.Lock()
 		if j.report != nil {
@@ -842,6 +830,19 @@ func (e *Engine) run(j *job) {
 		j.mu.Unlock()
 		return op
 	})
+
+	j.mu.Lock()
+	j.state = state
+	switch state {
+	case StateCancelled:
+		e.metrics.jobsCancelled.Add(1)
+	case StateFailed:
+		e.metrics.jobsFailed.Add(1)
+	default:
+		e.metrics.jobsDone.Add(1)
+	}
+	j.mu.Unlock()
+	j.cancel() // release the context's resources
 }
 
 func (e *Engine) solve(j *job) error {

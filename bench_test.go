@@ -218,7 +218,7 @@ func BenchmarkSolveSizes(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			d, err := New(ds, Options{Approximate: true})
+			d, err := New(ds, Options{Index: IndexQGram})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -68,24 +68,19 @@ func TestBlockingMatchesMonolithic(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := solveAll(t, plain)
-		for _, bo := range []*BlockingOptions{
-			{Parallel: 4, PivotGuard: true},
-			{Parallel: 1},                // exhaustive guard, serial
-			{KeyPrefixLen: 3, Window: 1}, // custom keys, canopy disabled
-			{Parallel: 8, MaxRounds: 1},  // immediate forced-full fallback
-		} {
-			d, err := New(recs, Options{CustomMetric: blockingDist, Blocking: bo})
+		for _, par := range []int{4, 1, 8} {
+			d, err := New(recs, Options{CustomMetric: blockingDist, Parallel: par, Blocking: &BlockingOptions{}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := solveAll(t, d)
 			for i := range want {
 				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("seed %d opts %+v solve %d: blocked partition diverges", seed, *bo, i)
+					t.Errorf("seed %d parallel %d solve %d: blocked partition diverges", seed, par, i)
 				}
 			}
 			if rep := d.LastReport(); rep.BlocksSolved == 0 {
-				t.Errorf("seed %d opts %+v: BlocksSolved = 0", seed, *bo)
+				t.Errorf("seed %d parallel %d: BlocksSolved = 0", seed, par)
 			}
 		}
 	}
@@ -112,7 +107,8 @@ func TestBlockingTextMatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		bopts := opts
-		bopts.Blocking = &BlockingOptions{Parallel: 2}
+		bopts.Parallel = 2
+		bopts.Blocking = &BlockingOptions{}
 		d, err := New(recs, bopts)
 		if err != nil {
 			t.Fatal(err)
@@ -129,7 +125,7 @@ func TestBlockingTextMatches(t *testing.T) {
 
 func TestBlockingReport(t *testing.T) {
 	recs := blockingRecords(7, 200)
-	d, err := New(recs, Options{CustomMetric: blockingDist, Blocking: &BlockingOptions{Parallel: 4}})
+	d, err := New(recs, Options{CustomMetric: blockingDist, Parallel: 4, Blocking: &BlockingOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +164,8 @@ func TestBlockingTracerSpans(t *testing.T) {
 	d, err := New(recs, Options{
 		CustomMetric: blockingDist,
 		Tracer:       &obs.Tracer{Sink: col},
-		Blocking:     &BlockingOptions{Parallel: 2},
+		Parallel:     2,
+		Blocking:     &BlockingOptions{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,9 +214,6 @@ func TestBlockingOptionErrors(t *testing.T) {
 	for _, opts := range []Options{
 		{Blocking: &BlockingOptions{}, UseSQL: true},
 		{Blocking: &BlockingOptions{}, Index: IndexQGram},
-		{Blocking: &BlockingOptions{}, Index: IndexVPTree},
-		{Blocking: &BlockingOptions{}, Index: IndexMinHash},
-		{Blocking: &BlockingOptions{}, Approximate: true},
 	} {
 		if _, err := New(recs, opts); err == nil {
 			t.Errorf("New with %+v should fail", opts)

@@ -57,8 +57,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		c         = fs.Float64("c", 4, "sparse-neighborhood threshold (> 1)")
 		estimateF = fs.Float64("estimate-f", 0, "estimate c from this duplicate fraction instead of -c")
 		agg       = fs.String("agg", "max", "SN aggregation: max, avg, max2")
-		approx    = fs.Bool("approx", false, "use the probabilistic q-gram index (recommended beyond ~10k rows)")
-		index     = fs.String("index", "", "nearest-neighbor index: exact, pruned, qgram, vptree, minhash (overrides -approx)")
+		index     = fs.String("index", "exact", "nearest-neighbor index: exact, or qgram for the probabilistic q-gram index (recommended beyond ~10k rows)")
 		header    = fs.Bool("header", false, "skip the first CSV row")
 		blocked   = fs.Bool("blocked", false, "shard the corpus into blocks and solve them concurrently (-parallel workers); results are identical to the plain solve")
 		parallel  = fs.Int("parallel", 4, "worker count for -blocked block solves and exact-index phase-1 lookups")
@@ -89,11 +88,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	opts := fuzzydup.Options{
-		Metric:      fuzzydup.Metric(*metric),
-		Agg:         fuzzydup.Agg(*agg),
-		Approximate: *approx,
-		Index:       fuzzydup.Index(*index),
-		Parallel:    *parallel,
+		Metric:   fuzzydup.Metric(*metric),
+		Agg:      fuzzydup.Agg(*agg),
+		Index:    fuzzydup.Index(*index),
+		Parallel: *parallel,
 	}
 	if *blocked {
 		opts.Blocking = &fuzzydup.BlockingOptions{}

@@ -7,7 +7,6 @@ import (
 
 	"fuzzydup/internal/baseline"
 	"fuzzydup/internal/blocked"
-	"fuzzydup/internal/blocking"
 	"fuzzydup/internal/core"
 	"fuzzydup/internal/distance"
 	"fuzzydup/internal/nnindex"
@@ -67,27 +66,22 @@ const (
 // Index selects the nearest-neighbor index backing phase 1.
 type Index string
 
-// Available indexes.
+// Available indexes: the exact one, and the paper's probabilistic one.
 const (
-	// IndexExact scans the whole relation per query — exact for any
-	// metric, O(n) per lookup. The default.
+	// IndexExact answers every query exactly, for any metric. The default.
+	// For the edit-family metrics ("ed", "damerau") it is a certified
+	// scan: 256-bit q-gram signatures, a multi-index Hamming certificate
+	// and per-pair lower bounds skip most metric calls while every answer
+	// stays bit-for-bit that of a full scan. For any other metric it
+	// scans the whole relation per query, O(n) per lookup.
 	IndexExact Index = "exact"
 	// IndexQGram is the probabilistic disk-backed q-gram inverted index
 	// (the paper's setting); recommended beyond ~10,000 records.
 	IndexQGram Index = "qgram"
-	// IndexVPTree is a vantage-point tree — exact for true metrics
-	// (Jaccard), near-exact for normalized edit distance, and safe for
-	// parallel queries.
-	IndexVPTree Index = "vptree"
-	// IndexMinHash is MinHash-LSH over q-gram shingles — probabilistic,
-	// strongest when the metric is (or correlates with) Jaccard.
-	IndexMinHash Index = "minhash"
-	// IndexPruned is the signature-prefiltered exact scan: multi-index
-	// Hamming retrieval over 256-bit q-gram signatures plus certified
-	// lower bounds skip most metric calls while answering every query
-	// bit-for-bit like IndexExact. The prefilter engages for the
-	// edit-family metrics ("ed", "damerau") and transparently falls back
-	// to the exact scan elsewhere, so it is always safe to select.
+	// IndexPruned is the former name of the certified scan IndexExact now
+	// always uses; it selects IndexExact.
+	//
+	// Deprecated: use IndexExact.
 	IndexPruned Index = "pruned"
 )
 
@@ -103,9 +97,6 @@ type Options struct {
 	CustomMetric func(a, b string) float64
 	// Index selects the nearest-neighbor index (default IndexExact).
 	Index Index
-	// Approximate is a legacy alias: true selects IndexQGram when Index
-	// is unset.
-	Approximate bool
 	// P is the neighborhood growth-sphere factor (default 2, the paper's
 	// setting).
 	P float64
@@ -122,9 +113,9 @@ type Options struct {
 	// is identical to the in-memory path; this exists for inspection and
 	// for exercising the full stack.
 	UseSQL bool
-	// Parallel, when > 1, fans phase-1 lookups across that many
-	// goroutines. Only effective with the exact index (the default); the
-	// output is identical to a serial run.
+	// Parallel, when > 1, fans phase-1 lookups (or, under Blocking, block
+	// solves) across that many goroutines. Only effective with the exact
+	// index (the default); the output is identical to a serial run.
 	Parallel int
 	// Tracer, when non-nil, receives hierarchical spans for every solve:
 	// a "dedup.solve" root with "phase1" and "phase2" children carrying
@@ -144,35 +135,16 @@ type Options struct {
 	Blocking *BlockingOptions
 }
 
-// BlockingOptions tunes the blocked solve selected by Options.Blocking.
-// The zero value is a working default: blocks seeded from a 4-character
-// normalized prefix and the first token's Soundex code, a window-8
-// sorted-neighborhood canopy pass, the exhaustive boundary guard, and
-// block solves run at Options.Parallel.
+// BlockingOptions carries the hooks of the blocked solve selected by
+// Options.Blocking. The solve itself is fixed: blocked.DefaultStrategy
+// (blocks seeded from a 4-character normalized prefix and the first
+// token's Soundex code, a window-8 sorted-neighborhood canopy pass), the
+// exhaustive boundary guard, and block solves run at Options.Parallel.
 //
 // In the blocked mode RunReport.Phase1 is the wall-clock of the
 // (parallel) block solves and Phase2 is everything else — seeding,
 // guarding, merging, and reconciliation.
 type BlockingOptions struct {
-	// Parallel is the block-solve worker-pool size; 0 inherits
-	// Options.Parallel. Parallelism never changes the output.
-	Parallel int
-	// KeyPrefixLen is the length of the normalized-prefix blocking key
-	// (default 4).
-	KeyPrefixLen int
-	// Window is the sorted-neighborhood window width feeding the
-	// distance-gated canopy pass (default 8; values below 2 disable the
-	// pass).
-	Window int
-	// PivotGuard opts into the pivot-pruned boundary guard instead of the
-	// default exhaustive foreign scan. The pruning is only sound for
-	// metrics satisfying the triangle inequality (Jaccard does; normalized
-	// edit distance is not guaranteed to), which is why it is opt-in.
-	PivotGuard bool
-	// MaxRounds bounds the solve/guard/merge loop (default 32); exceeding
-	// it falls back to one full-corpus solve, which is never wrong — only
-	// no faster than the monolithic path.
-	MaxRounds int
 	// OnBlockSolved, when non-nil, is called once per block solve with the
 	// block size and solve duration — the hook dedupd feeds its per-block
 	// duration histogram from. Calls are sequential.
@@ -189,25 +161,6 @@ type BlockingOptions struct {
 	Restrict func(id int) bool
 }
 
-// strategy materializes the blocking strategy the options describe.
-func (o *BlockingOptions) strategy() blocked.Strategy {
-	pre := o.KeyPrefixLen
-	if pre <= 0 {
-		pre = 4
-	}
-	strat := blocked.Strategy{
-		Keys: []blocking.KeyFunc{blocking.FirstNChars(pre), blocking.SoundexFirstToken()},
-	}
-	w := o.Window
-	if w == 0 {
-		w = 8
-	}
-	if w >= 2 {
-		strat.Windows = []blocked.Window{{W: w, Order: blocking.NormalizedOrder()}}
-	}
-	return strat
-}
-
 // RunReport summarizes the work of a Deduper's solves: phase timings,
 // comparison counts, partition statistics, and phase-1 cache behaviour.
 // Deduper.Report returns the accumulation across all solves so far;
@@ -216,6 +169,9 @@ func (o *BlockingOptions) strategy() blocked.Strategy {
 // DistanceCalls follows CacheStats semantics: a solve served from the
 // phase-1 cache computes no new distances, so a K/θ/c sweep's distance
 // count grows only on the CacheComputes points, not the CacheHits ones.
+// It counts every distance the solve measured: calls of the metric plus
+// the exact index's bounded-kernel verifications (Phase1Candidates),
+// which bypass the metric.
 type RunReport struct {
 	// Solves is the number of completed solve calls covered.
 	Solves int `json:"solves"`
@@ -225,7 +181,7 @@ type RunReport struct {
 	Phase2 time.Duration `json:"phase2_ns"`
 	// Lookups is the number of phase-1 tuple lookups performed;
 	// IndexProbes the number of index probe calls they issued;
-	// DistanceCalls the number of metric invocations they cost.
+	// DistanceCalls the number of distances the solve measured.
 	Lookups       int64 `json:"lookups"`
 	IndexProbes   int64 `json:"index_probes"`
 	DistanceCalls int64 `json:"distance_calls"`
@@ -252,10 +208,12 @@ type RunReport struct {
 	BlocksSolved     int `json:"blocks_solved,omitempty"`
 	BoundaryResolves int `json:"boundary_resolves,omitempty"`
 	// Phase1Pruned / Phase1Candidates / Phase1Fallbacks instrument the
-	// signature prefilter (IndexPruned, monolithic or blocked): records
-	// excluded by a certified bound without a metric call, records
-	// exactly verified, and queries that fell back wholesale to the
-	// exact scan. All zero for other indexes.
+	// exact index's certified scan (monolithic, blocked or distributed):
+	// records excluded by a certified bound without a distance
+	// computation, records verified by the bounded kernel, and queries
+	// that fell back wholesale to metric calls over every record (a
+	// metric outside the edit family, a key shorter than a q-gram, or a
+	// top-K spanning the relation). All zero for IndexQGram.
 	Phase1Pruned     int64 `json:"phase1_pruned,omitempty"`
 	Phase1Candidates int64 `json:"phase1_candidates,omitempty"`
 	Phase1Fallbacks  int64 `json:"phase1_fallbacks,omitempty"`
@@ -314,14 +272,13 @@ func (r RunReport) String() string {
 // only the first call at a new maximum pays for nearest-neighbor
 // computation.
 type Deduper struct {
-	records   []Record
-	keys      []string
-	metric    distance.Metric
-	counter   *distance.Counting // same metric, counted; indexes query through it
-	index     nnindex.Index
-	indexKind Index    // resolved Options.Index (defaults applied)
-	agg       core.Agg // resolved Options.Agg
-	opts      Options
+	records []Record
+	keys    []string
+	metric  distance.Metric
+	counter *distance.Counting // same metric, counted; indexes query through it
+	index   nnindex.Index
+	agg     core.Agg // resolved Options.Agg
+	opts    Options
 
 	cacheS *core.NNRelation // widest size-cut relation computed so far
 	cacheD *core.NNRelation // widest diameter-cut relation computed so far
@@ -376,31 +333,21 @@ func New(records []Record, opts Options) (*Deduper, error) {
 	// goes through a counting wrapper so reports can state how many
 	// distance computations the work cost.
 	counter := distance.NewCounting(metric)
-	kind := opts.Index
-	if kind == "" {
-		if opts.Approximate {
-			kind = IndexQGram
-		} else {
-			kind = IndexExact
-		}
-	}
+	kind := opts.index()
 	if opts.Blocking != nil {
-		// The blocked pipeline builds its own per-block phase-1 indexes
-		// (exact, or signature-prefiltered for IndexPruned) and runs
-		// partitioning in memory; neither an approximate global index
-		// nor the SQL runner composes with it.
+		// The blocked pipeline builds its own per-block exact indexes and
+		// runs partitioning in memory; neither the probabilistic global
+		// index nor the SQL runner composes with it.
 		if opts.UseSQL {
 			return nil, fmt.Errorf("fuzzydup: Blocking is incompatible with UseSQL")
 		}
-		if kind != IndexExact && kind != IndexPruned {
-			return nil, fmt.Errorf("fuzzydup: Blocking requires the exact or pruned index, not %q", kind)
+		if kind != IndexExact {
+			return nil, fmt.Errorf("fuzzydup: Blocking requires the exact index, not %q", kind)
 		}
 	}
 	var index nnindex.Index
 	switch kind {
 	case IndexExact:
-		index = nnindex.NewExact(keys, counter)
-	case IndexPruned:
 		px, err := nnindex.NewPruned(keys, counter, nnindex.PrunedConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("fuzzydup: building index: %w", err)
@@ -412,18 +359,19 @@ func New(records []Record, opts Options) (*Deduper, error) {
 			return nil, fmt.Errorf("fuzzydup: building index: %w", err)
 		}
 		index = qg
-	case IndexVPTree:
-		index = nnindex.NewVPTree(keys, counter)
-	case IndexMinHash:
-		mh, err := nnindex.NewMinHash(keys, counter, nnindex.MinHashConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("fuzzydup: building index: %w", err)
-		}
-		index = mh
 	default:
 		return nil, fmt.Errorf("fuzzydup: unknown index %q", kind)
 	}
-	return &Deduper{records: records, keys: keys, metric: counter, counter: counter, index: index, indexKind: kind, agg: agg, opts: opts}, nil
+	return &Deduper{records: records, keys: keys, metric: counter, counter: counter, index: index, agg: agg, opts: opts}, nil
+}
+
+// index resolves the options' index name: unset and the deprecated
+// IndexPruned both select IndexExact.
+func (o Options) index() Index {
+	if o.Index == "" || o.Index == IndexPruned {
+		return IndexExact
+	}
+	return o.Index
 }
 
 // resolve turns the options' metric and aggregation names into their
@@ -568,7 +516,7 @@ func (d *Deduper) solve(ctx context.Context, prob core.Problem) (Groups, error) 
 	delta.RejectedCompact = pstats.RejectedCompact
 	delta.RejectedSN = pstats.RejectedSN
 	delta.RejectedExcluded = pstats.RejectedExcluded
-	delta.DistanceCalls = d.counter.Calls() - dist0
+	delta.DistanceCalls = d.counter.Calls() - dist0 + delta.Phase1Candidates
 	delta.Solves = 1
 	p2Span.Add("groups", int64(pstats.Groups))
 	p2Span.Add("duplicate_groups", int64(pstats.Duplicates))
@@ -594,21 +542,15 @@ func (d *Deduper) solveBlocked(ctx context.Context, prob core.Problem) (Groups, 
 	dist0 := d.counter.Calls()
 
 	bo := d.opts.Blocking
-	par := bo.Parallel
-	if par == 0 {
-		par = d.opts.Parallel
-	}
 	var p1 core.Phase1Stats
 	bSpan := span.Child("blocked")
-	res, err := blocked.Solve(d.keys, d.metric, prob, bo.strategy(), blocked.Options{
-		Parallel:      par,
-		Exhaustive:    !bo.PivotGuard,
-		MaxRounds:     bo.MaxRounds,
+	res, err := blocked.Solve(d.keys, d.metric, prob, blocked.DefaultStrategy(), blocked.Options{
+		Parallel:      d.opts.Parallel,
+		Exhaustive:    true,
 		Ctx:           ctx,
 		Stats:         &p1,
 		OnBlockSolved: bo.OnBlockSolved,
 		Restrict:      bo.Restrict,
-		Prefilter:     d.indexKind == IndexPruned,
 	})
 	if err != nil {
 		bSpan.End()
@@ -638,7 +580,7 @@ func (d *Deduper) solveBlocked(ctx context.Context, prob core.Problem) (Groups, 
 	delta.RejectedExcluded = res.Partition.RejectedExcluded
 	delta.BlocksSolved = res.BlocksSolved
 	delta.BoundaryResolves = res.BoundaryResolves
-	delta.DistanceCalls = d.counter.Calls() - dist0
+	delta.DistanceCalls = d.counter.Calls() - dist0 + delta.Phase1Candidates
 	delta.Solves = 1
 	span.Add("distance_calls", delta.DistanceCalls)
 

@@ -188,7 +188,7 @@ func TestApproximateIndexAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := New(table1(), Options{Approximate: true})
+	approx, err := New(table1(), Options{Index: IndexQGram})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestApproximateIndexAgrees(t *testing.T) {
 }
 
 func TestAllIndexesFindDoorsPair(t *testing.T) {
-	for _, ix := range []Index{IndexExact, IndexQGram, IndexVPTree, IndexMinHash} {
+	for _, ix := range []Index{IndexExact, IndexQGram} {
 		d, err := New(table1(), Options{Index: ix})
 		if err != nil {
 			t.Fatalf("%s: %v", ix, err)

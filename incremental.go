@@ -53,17 +53,15 @@ type Incremental struct {
 // Only corpus-independent metrics are supported: the IDF-weighted metrics
 // (fms, cosine, soft-tfidf) recompute every pairwise distance whenever
 // the corpus changes, which is exactly the global recomputation
-// incremental maintenance exists to avoid. Options.Index, Approximate,
-// UseSQL, and Parallel are likewise rejected or ignored — repairs always
-// measure exact distances over the live records.
+// incremental maintenance exists to avoid. Options.Index (other than
+// the exact index), UseSQL, and Parallel are likewise rejected or
+// ignored — repairs always measure exact distances over the live records.
 func NewIncremental(records []Record, spec IncrementalSpec, opts Options) (*Incremental, error) {
 	switch {
 	case distance.CorpusDependent(string(opts.Metric)):
 		return nil, fmt.Errorf("fuzzydup: metric %q is corpus-dependent (IDF weights change on every mutation); use a corpus-independent metric for incremental maintenance", opts.Metric)
-	case opts.Index != "" && opts.Index != IndexExact:
+	case opts.index() != IndexExact:
 		return nil, fmt.Errorf("fuzzydup: incremental maintenance requires the exact index, not %q", opts.Index)
-	case opts.Approximate:
-		return nil, fmt.Errorf("fuzzydup: incremental maintenance requires the exact index")
 	case opts.UseSQL:
 		return nil, fmt.Errorf("fuzzydup: incremental maintenance does not support the SQL phase-2 path")
 	}

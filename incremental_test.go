@@ -161,8 +161,6 @@ func TestIncrementalRejectsUnsupported(t *testing.T) {
 		{"cosine", Options{Metric: MetricCosine}},
 		{"soft-tfidf", Options{Metric: MetricSoftTFIDF}},
 		{"qgram index", Options{Index: IndexQGram}},
-		{"vptree index", Options{Index: IndexVPTree}},
-		{"approximate", Options{Approximate: true}},
 		{"sql", Options{UseSQL: true}},
 		{"unknown metric", Options{Metric: "nope"}},
 	}

@@ -37,7 +37,7 @@ import (
 	"fuzzydup/internal/nnindex"
 )
 
-// Defaults for the tuning knobs of Options.
+// Defaults of the boundary guard and the round budget.
 const (
 	// DefaultPivots is the number of pivot certificates the boundary
 	// guard prunes with.
@@ -70,15 +70,22 @@ type Strategy struct {
 	Windows []Window
 }
 
-// DefaultStrategy blocks on the first four normalized characters and the
-// Soundex code of the first token, with one normalized-order
-// sorted-neighborhood pass feeding the canopy.
+// DefaultStrategy blocks on PrefixKey and the Soundex code of the first
+// token, with one normalized-order sorted-neighborhood pass feeding the
+// canopy.
 func DefaultStrategy() Strategy {
 	return Strategy{
-		Keys:    []blocking.KeyFunc{blocking.FirstNChars(4), blocking.SoundexFirstToken()},
+		Keys:    []blocking.KeyFunc{PrefixKey, blocking.SoundexFirstToken()},
 		Windows: []Window{{W: 8, Order: blocking.NormalizedOrder()}},
 	}
 }
+
+// PrefixKey is DefaultStrategy's first blocking key: the first four
+// runes of the normalized record, or no key when that form is empty.
+// Records sharing it always share a block, which is why an equality
+// predicate on it (dedupd's SQL block_key column) can restrict a blocked
+// solve to the blocks it names.
+func PrefixKey(key string) []string { return blocking.FirstNChars(4)(key) }
 
 // Options tunes the blocked solve.
 type Options struct {
@@ -86,13 +93,11 @@ type Options struct {
 	// serial. Parallelism never changes the output: blocks are solved
 	// independently and reconciled in a deterministic order.
 	Parallel int
-	// Pivots is the pivot-certificate count of the boundary guard
-	// (default DefaultPivots).
-	Pivots int
 	// Exhaustive switches the guard to full foreign scans instead of
-	// pivot pruning. Required for metrics that violate the triangle
-	// inequality (normalized edit distance is not guaranteed to satisfy
-	// it); the pivot guard is only sound for true metrics.
+	// pruning with DefaultPivots pivot certificates. Required for metrics
+	// that violate the triangle inequality (normalized edit distance is
+	// not guaranteed to satisfy it); the pivot guard is only sound for
+	// true metrics.
 	Exhaustive bool
 	// MaxRounds bounds the solve/guard/merge loop (default
 	// DefaultMaxRounds); exceeding it forces one full-corpus solve.
@@ -104,11 +109,10 @@ type Options struct {
 	// across all block solves; the counters are atomic, so one value is
 	// shared by the whole worker pool.
 	Stats *core.Phase1Stats
-	// Prefilter builds each block's phase-1 index as a signature-
-	// prefiltered nnindex.Pruned instead of nnindex.Exact. Answers are
-	// bit-for-bit identical (the prefilter only skips records a
-	// certified bound excludes), so the partition is unchanged; on
-	// edit-family metrics most exact-metric calls are skipped.
+	// Prefilter is read by nothing: every block solve builds the
+	// certified nnindex.Pruned (see SolveBlock).
+	//
+	// Deprecated: it has no effect; leave it unset.
 	Prefilter bool
 	// OnBlockSolved, when non-nil, is called once per block solve with
 	// the block size and the solve duration. Calls are sequential and
@@ -137,13 +141,6 @@ type Options struct {
 	// carries over verbatim. Incompatible with Problem.Exclude: the
 	// predicate is a closure over global IDs and cannot be shipped.
 	Solver func(ctx context.Context, members []int) (*BlockResult, error)
-}
-
-func (o Options) pivots() int {
-	if o.Pivots <= 0 {
-		return DefaultPivots
-	}
-	return o.Pivots
 }
 
 func (o Options) maxRounds() int {
@@ -229,28 +226,20 @@ type BlockResult struct {
 }
 
 // SolveBlock runs the exact two-phase solve over one block's records:
-// a block-local exact index, sequential phase-1 lookups, and the
-// canonical partition. Record order must be ascending in the global IDs
-// the block was cut from — the remap is then monotone, so the
-// (distance, ID) tie-break and the greedy anchor order inside the block
-// coincide with the global ones restricted to it. This is the primitive
-// a remote worker executes for the distributed solve; the local
-// pipeline goes through the same code via solveOne.
+// a block-local nnindex.Pruned (bit-for-bit the exact answers, so the
+// fixpoint proof and the guard's certificates are untouched), sequential
+// phase-1 lookups, and the canonical partition. Record order must be
+// ascending in the global IDs the block was cut from — the remap is then
+// monotone, so the (distance, ID) tie-break and the greedy anchor order
+// inside the block coincide with the global ones restricted to it. This
+// is the primitive a remote worker executes for the distributed solve;
+// the local pipeline goes through the same code via solveOne.
 func SolveBlock(records []string, metric distance.Metric, prob core.Problem, opts core.Phase1Options) (*BlockResult, error) {
 	t0 := time.Now()
 	opts.Order = core.OrderSequential
-	var idx nnindex.Index
-	if opts.Prefilter {
-		// Signature-prefiltered phase 1: bit-for-bit the exact answers
-		// (see internal/nnindex's Pruned), so the fixpoint proof and the
-		// guard's certificates are untouched.
-		px, err := nnindex.NewPruned(records, metric, nnindex.PrunedConfig{})
-		if err != nil {
-			return nil, err
-		}
-		idx = px
-	} else {
-		idx = nnindex.NewExact(records, metric)
+	idx, err := nnindex.NewPruned(records, metric, nnindex.PrunedConfig{})
+	if err != nil {
+		return nil, err
 	}
 	rel, err := core.ComputeNN(idx, prob.Cut, prob.P, opts)
 	if err != nil {
@@ -307,7 +296,7 @@ func Solve(keys []string, metric distance.Metric, prob core.Problem, strat Strat
 
 	u := newUnionFind(n)
 	seedBlocks(keys, strat, u)
-	g := newGuard(keys, metric, opts.pivots(), opts.Exhaustive)
+	g := newGuard(keys, metric, opts.Exhaustive)
 	canopyProbes := canopyMerge(keys, metric, strat, prob.Cut, u)
 	g.preMerge(u, prob.Cut, prob.P, sizeWant)
 	res.InitialBlocks = u.comps
@@ -502,7 +491,7 @@ func solveBlocks(keys []string, metric distance.Metric, prob core.Problem, comps
 }
 
 // solveOne solves a single block: remap its members (ascending global
-// IDs) to dense local IDs, run both phases on a block-local exact index,
+// IDs) to dense local IDs, run both phases through SolveBlock,
 // and keep the local relation for the guard. The remap is monotone, so
 // the (distance, ID) tie-break and the greedy anchor order inside the
 // block coincide with the global ones restricted to it.
@@ -515,11 +504,7 @@ func solveOne(keys []string, metric distance.Metric, prob core.Problem, members 
 	if ex := prob.Exclude; ex != nil {
 		lprob.Exclude = func(a, b int) bool { return ex(members[a], members[b]) }
 	}
-	r, err := SolveBlock(local, metric, lprob, core.Phase1Options{
-		Ctx:       opts.Ctx,
-		Stats:     opts.Stats,
-		Prefilter: opts.Prefilter,
-	})
+	r, err := SolveBlock(local, metric, lprob, core.Phase1Options{Ctx: opts.Ctx, Stats: opts.Stats})
 	if err != nil {
 		return nil, err
 	}

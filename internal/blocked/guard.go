@@ -42,20 +42,19 @@ type guard struct {
 	probes int64 // distance calls issued by the guard and the pivot build
 }
 
-// newGuard builds the pivot table. Pivot 0 is record 0; each further
-// pivot is the record farthest from all chosen pivots (ties to the
-// smallest ID), the standard farthest-first traversal — deterministic, so
-// the whole blocked solve is. Exhaustive mode keeps only pivot 0, which
-// the widening walk still needs as a proximity order.
-func newGuard(keys []string, metric distance.Metric, pivots int, exhaustive bool) *guard {
+// newGuard builds the pivot table of DefaultPivots pivots. Pivot 0 is
+// record 0; each further pivot is the record farthest from all chosen
+// pivots (ties to the smallest ID), the standard farthest-first
+// traversal — deterministic, so the whole blocked solve is. Exhaustive
+// mode keeps only pivot 0, which the widening walk still needs as a
+// proximity order.
+func newGuard(keys []string, metric distance.Metric, exhaustive bool) *guard {
 	g := &guard{keys: keys, metric: metric, exhaustive: exhaustive}
 	n := len(keys)
 	if n == 0 {
 		return g
 	}
-	if pivots <= 0 {
-		pivots = DefaultPivots
-	}
+	pivots := DefaultPivots
 	if exhaustive {
 		pivots = 1
 	}

@@ -58,7 +58,7 @@ type Phase1Options struct {
 	MaxQueue int
 	// Parallel, when > 1, fans the lookups across that many goroutines.
 	// Only honored for indexes that declare themselves safe for
-	// concurrent queries (Exact and VPTree are; the disk-backed q-gram
+	// concurrent queries (Exact and Pruned are; the disk-backed q-gram
 	// index is not — its buffer pool and memo serialize poorly and the
 	// BF-order locality it depends on would be destroyed anyway). The
 	// output is identical to a serial run.
@@ -74,11 +74,6 @@ type Phase1Options struct {
 	// used. Counters are atomic, so one Stats value is safe across the
 	// parallel path, and callers may read them while the run is live.
 	Stats *Phase1Stats
-	// Prefilter asks callers that build their own per-shard indexes (the
-	// blocked pipeline's SolveBlock) to construct signature-prefiltered
-	// nnindex.Pruned indexes instead of Exact ones. ComputeNN itself
-	// ignores it — the index it receives is already built.
-	Prefilter bool
 }
 
 // Phase1Stats counts the work of one (or several) ComputeNN runs. All
@@ -94,12 +89,12 @@ type Phase1Stats struct {
 	// Workers is the lookup fan-out of the most recent run: 1 for the
 	// serial orders, the effective goroutine count under Parallel.
 	Workers atomic.Int32
-	// Pruned, Candidates, and Fallbacks mirror the prefiltered index's
+	// Pruned, Candidates, and Fallbacks mirror the certified scan's
 	// counters (nnindex.Pruned, or anything else implementing
 	// PrunedReporter): records excluded by a certified bound without an
-	// exact metric call, records exactly verified, and whole queries
-	// that fell back to the exact scan. All zero when the index carries
-	// no prefilter.
+	// exact metric call, records verified by the bounded kernel, and
+	// whole queries that fell back to metric calls over every record.
+	// All zero when the index carries no certified scan.
 	Pruned     atomic.Int64
 	Candidates atomic.Int64
 	Fallbacks  atomic.Int64

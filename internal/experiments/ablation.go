@@ -10,6 +10,7 @@ import (
 	"fuzzydup/internal/baseline"
 	"fuzzydup/internal/blocking"
 	"fuzzydup/internal/core"
+	"fuzzydup/internal/distance"
 	"fuzzydup/internal/eval"
 	"fuzzydup/internal/nnindex"
 )
@@ -43,7 +44,7 @@ func CriteriaAblation(dsName string, size int, seed int64, k int, c float64, the
 		return nil, err
 	}
 	keys := ds.Keys()
-	metric, err := buildMetric("ed", keys)
+	metric, err := distance.ByName("ed", keys)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +143,7 @@ func BlockingAblation(dsName string, size int, seed int64, k int) (*BlockingResu
 		return nil, err
 	}
 	keys := ds.Keys()
-	metric, err := buildMetric("ed", keys)
+	metric, err := distance.ByName("ed", keys)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +242,7 @@ func IndexAblation(dsName string, size int, seed int64, k int, c float64) (*Inde
 		return nil, err
 	}
 	keys := ds.Keys()
-	metric, err := buildMetric("ed", keys)
+	metric, err := distance.ByName("ed", keys)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +302,7 @@ func IndexSweep(dsName string, size int, seed int64, k int, c float64) (*IndexSw
 		return nil, err
 	}
 	keys := ds.Keys()
-	metric, err := buildMetric("ed", keys)
+	metric, err := distance.ByName("ed", keys)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"fuzzydup/internal/core"
+	"fuzzydup/internal/distance"
 	"fuzzydup/internal/eval"
 )
 
@@ -63,7 +64,7 @@ func AggComparison(cfg AggConfig) (*AggResult, error) {
 		return nil, err
 	}
 	keys := ds.Keys()
-	metric, err := buildMetric(cfg.Metric, keys)
+	metric, err := distance.ByName(cfg.Metric, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +87,7 @@ func AggComparison(cfg AggConfig) (*AggResult, error) {
 	for _, agg := range []core.Agg{core.AggMax, core.AggAvg, core.AggMax2} {
 		sCurve := eval.Curve{Name: fmt.Sprintf("DE_S:%s", agg)}
 		for _, k := range cfg.Ks {
-			rel := truncateSizeRelation(relS, k)
+			rel := relS.TruncateSize(k)
 			groups, err := core.Partition(rel, core.Problem{Cut: core.Cut{MaxSize: k}, Agg: agg, C: cfg.C})
 			if err != nil {
 				return nil, err
@@ -100,7 +101,7 @@ func AggComparison(cfg AggConfig) (*AggResult, error) {
 
 		dCurve := eval.Curve{Name: fmt.Sprintf("DE_D:%s", agg)}
 		for _, theta := range cfg.Thetas {
-			rel := truncateDiameterRelation(relD, theta)
+			rel := relD.TruncateDiameter(theta)
 			groups, err := core.Partition(rel, core.Problem{Cut: core.Cut{Diameter: theta}, Agg: agg, C: cfg.C})
 			if err != nil {
 				return nil, err

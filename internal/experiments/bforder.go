@@ -7,6 +7,7 @@ import (
 	"fuzzydup/internal/buffer"
 	"fuzzydup/internal/core"
 	"fuzzydup/internal/dataset"
+	"fuzzydup/internal/distance"
 	"fuzzydup/internal/nnindex"
 )
 
@@ -92,7 +93,7 @@ func BFOrdering(cfg BFConfig) (*BFResult, error) {
 		DupFraction: cfg.DupFraction, MaxGroupSize: cfg.MaxGroupSize,
 	})
 	keys := ds.Keys()
-	metric, err := buildMetric(cfg.Metric, keys)
+	metric, err := distance.ByName(cfg.Metric, keys)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"fuzzydup/internal/core"
+	"fuzzydup/internal/distance"
 	"fuzzydup/internal/eval"
 )
 
@@ -68,7 +69,7 @@ func EstimatorAccuracy(cfg EstimatorConfig) (*EstimatorResult, error) {
 			return nil, err
 		}
 		keys := ds.Keys()
-		metric, err := buildMetric(cfg.Metric, keys)
+		metric, err := distance.ByName(cfg.Metric, keys)
 		if err != nil {
 			return nil, err
 		}

@@ -6,40 +6,10 @@
 package experiments
 
 import (
-	"fmt"
-
-	"fuzzydup/internal/core"
 	"fuzzydup/internal/dataset"
 	"fuzzydup/internal/distance"
 	"fuzzydup/internal/nnindex"
 )
-
-// buildMetric constructs a metric by name; IDF-weighted metrics are built
-// over the dataset's keys, as the paper does.
-func buildMetric(name string, keys []string) (distance.Metric, error) {
-	switch name {
-	case "ed":
-		return distance.Edit{}, nil
-	case "fms":
-		return distance.NewFMS(keys), nil
-	case "cosine":
-		return distance.NewCosine(keys), nil
-	case "jaccard":
-		return distance.Jaccard{}, nil
-	case "jaro":
-		return distance.Jaro{}, nil
-	case "jaro-winkler":
-		return distance.JaroWinkler{}, nil
-	case "monge-elkan":
-		return distance.MongeElkan{}, nil
-	case "soft-tfidf":
-		return distance.NewSoftTFIDF(keys, 0, nil), nil
-	case "damerau":
-		return distance.Damerau{}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown metric %q", name)
-	}
-}
 
 // buildIndex constructs the requested index flavor over the keys.
 func buildIndex(keys []string, metric distance.Metric, useQGram bool) (nnindex.Index, error) {
@@ -55,14 +25,4 @@ func loadDataset(name string, size int, seed int64) (*dataset.Dataset, error) {
 		return dataset.Table1(), nil
 	}
 	return dataset.ByName(name, dataset.Config{Size: size, Seed: seed})
-}
-
-// truncateSizeRelation and truncateDiameterRelation delegate to the core
-// relation truncations (shared with the public API's sweep cache).
-func truncateSizeRelation(rel *core.NNRelation, k int) *core.NNRelation {
-	return rel.TruncateSize(k)
-}
-
-func truncateDiameterRelation(rel *core.NNRelation, theta float64) *core.NNRelation {
-	return rel.TruncateDiameter(theta)
 }

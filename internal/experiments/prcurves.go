@@ -6,6 +6,7 @@ import (
 
 	"fuzzydup/internal/baseline"
 	"fuzzydup/internal/core"
+	"fuzzydup/internal/distance"
 	"fuzzydup/internal/eval"
 	"fuzzydup/internal/nnindex"
 )
@@ -75,7 +76,7 @@ func PRCurves(cfg PRConfig) (*PRResult, error) {
 		return nil, err
 	}
 	keys := ds.Keys()
-	metric, err := buildMetric(cfg.Metric, keys)
+	metric, err := distance.ByName(cfg.Metric, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +127,7 @@ func PRCurves(cfg PRConfig) (*PRResult, error) {
 	for _, c := range cfg.Cs {
 		sCurve := eval.Curve{Name: fmt.Sprintf("DE_S c=%g", c)}
 		for _, k := range cfg.Ks {
-			rel := truncateSizeRelation(relS, k)
+			rel := relS.TruncateSize(k)
 			groups, err := core.Partition(rel, core.Problem{Cut: core.Cut{MaxSize: k}, Agg: cfg.Agg, C: c})
 			if err != nil {
 				return nil, err
@@ -140,7 +141,7 @@ func PRCurves(cfg PRConfig) (*PRResult, error) {
 
 		dCurve := eval.Curve{Name: fmt.Sprintf("DE_D c=%g", c)}
 		for _, theta := range cfg.Thetas {
-			rel := truncateDiameterRelation(relD, theta)
+			rel := relD.TruncateDiameter(theta)
 			groups, err := core.Partition(rel, core.Problem{Cut: core.Cut{Diameter: theta}, Agg: cfg.Agg, C: c})
 			if err != nil {
 				return nil, err

@@ -7,6 +7,7 @@ import (
 	"fuzzydup/internal/baseline"
 	"fuzzydup/internal/core"
 	"fuzzydup/internal/dataset"
+	"fuzzydup/internal/distance"
 	"fuzzydup/internal/eval"
 	"fuzzydup/internal/nnindex"
 )
@@ -44,7 +45,7 @@ func Robustness(dsName string, size int, seed int64, errorLevels []int) (*Robust
 			return nil, err
 		}
 		keys := ds.Keys()
-		metric, err := buildMetric("ed", keys)
+		metric, err := distance.ByName("ed", keys)
 		if err != nil {
 			return nil, err
 		}
@@ -57,7 +58,7 @@ func Robustness(dsName string, size int, seed int64, errorLevels []int) (*Robust
 		}
 		deCurve := eval.Curve{Name: "DE_S"}
 		for _, k := range []int{2, 3, 4, 5, 6} {
-			rel := truncateSizeRelation(relS, k)
+			rel := relS.TruncateSize(k)
 			groups, err := core.Partition(rel, core.Problem{Cut: core.Cut{MaxSize: k}, Agg: core.AggMax, C: 4})
 			if err != nil {
 				return nil, err
@@ -134,7 +135,7 @@ func PSweep(dsName string, size int, seed int64, ps []float64) (*PSweepResult, e
 		return nil, err
 	}
 	keys := ds.Keys()
-	metric, err := buildMetric("ed", keys)
+	metric, err := distance.ByName("ed", keys)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fuzzydup/internal/core"
+	"fuzzydup/internal/distance"
 	"fuzzydup/internal/nnindex"
 )
 
@@ -68,7 +69,7 @@ func Scalability(cfg ScaleConfig) (*ScaleResult, error) {
 			return nil, err
 		}
 		keys := ds.Keys()
-		metric, err := buildMetric(cfg.Metric, keys)
+		metric, err := distance.ByName(cfg.Metric, keys)
 		if err != nil {
 			return nil, err
 		}

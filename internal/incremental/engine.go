@@ -151,12 +151,12 @@ func New(keys []string, cfg Config) (*Engine, error) {
 	}
 	e := &Engine{prob: prob, metric: distance.NewCounting(cfg.Metric), tracer: cfg.Tracer}
 	// The build is one repair with every slot dirty; it emits no span.
-	e.repair(nil, "build", func() (int, map[int]struct{}) {
+	e.repair(nil, "build", func() (int, map[int]struct{}, bool) {
 		dirty := make(map[int]struct{}, len(keys))
 		for _, k := range keys {
 			dirty[e.addSlot(k)] = struct{}{}
 		}
-		return -1, dirty
+		return -1, dirty, false
 	})
 	return e, nil
 }
@@ -211,11 +211,11 @@ func (e *Engine) Groups() [][]int {
 // Insert adds a record and repairs the state, returning its stable ID.
 // Deleted IDs are reused (smallest first).
 func (e *Engine) Insert(key string) int {
-	return e.repair(e.tracer.Start("incremental.repair"), "insert", func() (int, map[int]struct{}) {
+	return e.repair(e.tracer.Start("incremental.repair"), "insert", func() (int, map[int]struct{}, bool) {
 		s := e.allocSlot(key)
 		dirty := map[int]struct{}{s: {}}
 		e.insertDirty(s, dirty)
-		return s, dirty
+		return s, dirty, true
 	})
 }
 
@@ -224,7 +224,7 @@ func (e *Engine) Delete(id int) error {
 	if id < 0 || id >= len(e.keys) || !e.live[id] {
 		return fmt.Errorf("incremental: no live record %d", id)
 	}
-	e.repair(e.tracer.Start("incremental.repair"), "delete", func() (int, map[int]struct{}) {
+	e.repair(e.tracer.Start("incremental.repair"), "delete", func() (int, map[int]struct{}, bool) {
 		// Everyone who watched the record is dirty. The dead slot joins
 		// the dirty set for partitioning only: its old group must
 		// dissolve even when no live row changed (a pure singleton).
@@ -233,7 +233,7 @@ func (e *Engine) Delete(id int) error {
 			dirty[w] = struct{}{}
 		}
 		e.freeSlot(id)
-		return id, dirty
+		return id, dirty, false
 	})
 	return nil
 }
@@ -244,7 +244,7 @@ func (e *Engine) Update(id int, key string) error {
 	if id < 0 || id >= len(e.keys) || !e.live[id] {
 		return fmt.Errorf("incremental: no live record %d", id)
 	}
-	e.repair(e.tracer.Start("incremental.repair"), "update", func() (int, map[int]struct{}) {
+	e.repair(e.tracer.Start("incremental.repair"), "update", func() (int, map[int]struct{}, bool) {
 		// Old-side dirtiness: everyone who watched the old content.
 		dirty := map[int]struct{}{id: {}}
 		for w := range e.rev[id] {
@@ -253,25 +253,33 @@ func (e *Engine) Update(id int, key string) error {
 		// New-side dirtiness: everyone the new content newly reaches.
 		e.keys[id] = key
 		e.insertDirty(id, dirty)
-		return id, dirty
+		return id, dirty, true
 	})
 	return nil
 }
 
 // repair is the tail every mutation shares. change applies the mutation
-// and returns its target ID and dirty set; repair then relooks up every
-// live dirty slot in ascending order, re-runs the stitched partition, and
-// records the stats, with change's own work counted toward phase 1. span
-// (nil for the build) receives the repair's counters and is ended.
-func (e *Engine) repair(span *obs.Span, op string, change func() (int, map[int]struct{})) int {
+// and returns its target ID, its dirty set, and whether it measured the
+// target's distances (insertDirty); repair then relooks up every live
+// dirty slot, re-runs the stitched partition, and records the stats,
+// with change's own work counted toward phase 1. span (nil for the
+// build) receives the repair's counters and is ended.
+func (e *Engine) repair(span *obs.Span, op string, change func() (int, map[int]struct{}, bool)) int {
 	defer span.End()
 	calls0 := e.metric.Calls()
 	t0 := time.Now()
-	id, dirty := change()
+	id, dirty, measured := change()
 	lookups := 0
+	if measured {
+		// The target's distances sit in the scratch buffer: relook it up
+		// from them first, before another relookup overwrites them.
+		// Relookups are independent of one another, so order is free.
+		e.relookup(id, true)
+		lookups++
+	}
 	for _, d := range slices.Sorted(maps.Keys(dirty)) {
-		if e.live[d] {
-			e.relookup(d)
+		if e.live[d] && !(measured && d == id) {
+			e.relookup(d, false)
 			lookups++
 		}
 	}
@@ -361,7 +369,8 @@ func (e *Engine) freeSlot(id int) {
 
 // insertDirty adds to dirty every live tuple whose NN list, nearest
 // neighbor, or growth sphere the (new or re-keyed) record in slot s
-// enters, decided from exact distances.
+// enters, decided from exact distances. It leaves those distances in the
+// scratch buffer for s's own relookup.
 func (e *Engine) insertDirty(s int, dirty map[int]struct{}) {
 	key := e.keys[s]
 	for u := range e.keys {
@@ -369,6 +378,7 @@ func (e *Engine) insertDirty(s int, dirty map[int]struct{}) {
 			continue
 		}
 		d := e.metric.Distance(key, e.keys[u])
+		e.dists[u] = d
 		if e.insertAffects(u, d, s) {
 			dirty[u] = struct{}{}
 		}
@@ -406,8 +416,10 @@ func (e *Engine) insertAffects(u int, d float64, s int) bool {
 
 // relookup re-runs the phase-1 lookup for slot v against the live
 // relation: the cut-bounded neighbor list, nn(v), the growth radius, the
-// self-inclusive neighborhood growth, and the reverse-watch edges.
-func (e *Engine) relookup(v int) {
+// self-inclusive neighborhood growth, and the reverse-watch edges. With
+// measured set, v's distances to every live slot are already in the
+// scratch buffer (insertDirty put them there) and none is measured again.
+func (e *Engine) relookup(v int, measured bool) {
 	for _, w := range e.watch[v] {
 		delete(e.rev[w], v)
 	}
@@ -427,8 +439,11 @@ func (e *Engine) relookup(v int) {
 		if u == v || !e.live[u] {
 			continue
 		}
-		d := e.metric.Distance(key, e.keys[u])
-		e.dists[u] = d
+		d := e.dists[u]
+		if !measured {
+			d = e.metric.Distance(key, e.keys[u])
+			e.dists[u] = d
+		}
 		if d < nnD {
 			nnD, nnI = d, u
 		}

@@ -4,13 +4,15 @@
 // "how many tuples lie within radius r of v" (the neighborhood-growth
 // count).
 //
-// Two implementations are provided. Exact scans the whole relation per
-// query and is the ground truth. QGram is the stand-in for the
-// probabilistic disk-based indexes the paper cites ([24, 23, 9]): an
-// inverted index from q-grams to posting lists, stored page-wise behind a
-// buffer pool, with candidate generation followed by metric verification.
-// The paper treats such indexes as exact; our tests quantify how close
-// that is.
+// Phase 1 reads from one of two indexes. Pruned is the exact one: a
+// certified signature scan that answers bit-for-bit like Exact, which
+// scans the whole relation per query and is the ground truth (the tests'
+// oracle and the experiments' exact index). QGram is the stand-in for the probabilistic disk-based
+// indexes the paper cites ([24, 23, 9]): an inverted index from q-grams
+// to posting lists, stored page-wise behind a buffer pool, with candidate
+// generation followed by metric verification. The paper treats such
+// indexes as exact; our tests quantify how close that is. VPTree and
+// MinHash serve only the index experiments.
 package nnindex
 
 import (

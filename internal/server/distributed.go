@@ -44,8 +44,9 @@ func (e *Engine) solveDistributed(j *job) error {
 		return err
 	}
 	// The counter sees only coordinator-side calls (guard probes, local
-	// fallbacks, representatives); worker-side calls surface through the
-	// cluster metrics roll-up.
+	// fallbacks, representatives), and the phase-1 stats only the local
+	// fallbacks' kernel verifications: the report does not count the
+	// distances workers measure.
 	counter := distance.NewCounting(base)
 	agg, err := core.ParseAgg(j.prob.Agg)
 	if err != nil {
@@ -62,9 +63,8 @@ func (e *Engine) solveDistributed(j *job) error {
 	// total and RunReport, mirroring the batch path.
 	report := &fuzzydup.RunReport{}
 	defer func() {
-		calls := counter.Calls()
-		report.DistanceCalls = calls
-		e.metrics.distanceCalls.Add(calls)
+		report.DistanceCalls = counter.Calls() + report.Phase1Candidates
+		e.metrics.distanceCalls.Add(report.DistanceCalls)
 		j.mu.Lock()
 		j.report = report
 		j.mu.Unlock()
@@ -104,18 +104,25 @@ func (e *Engine) solveDistributed(j *job) error {
 			return err
 		}
 
-		e.metrics.observePoint(fuzzydup.RunReport{
+		point := fuzzydup.RunReport{
 			Phase1:           res.SolveTime,
 			Phase2:           res.MergeTime,
 			BlocksSolved:     res.BlocksSolved,
 			BoundaryResolves: res.BoundaryResolves,
-		})
+			Phase1Pruned:     p1.Pruned.Load(),
+			Phase1Candidates: p1.Candidates.Load(),
+			Phase1Fallbacks:  p1.Fallbacks.Load(),
+		}
+		e.metrics.observePoint(point)
 
 		report.Solves++
 		report.Phase1 += res.SolveTime
 		report.Phase2 += res.MergeTime
 		report.Lookups += p1.Lookups.Load()
 		report.IndexProbes += p1.Probes.Load()
+		report.Phase1Pruned += point.Phase1Pruned
+		report.Phase1Candidates += point.Phase1Candidates
+		report.Phase1Fallbacks += point.Phase1Fallbacks
 		report.Groups += res.Partition.Groups
 		report.DuplicateGroups += res.Partition.Duplicates
 		report.Splits += res.Partition.Splits

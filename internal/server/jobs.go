@@ -41,8 +41,9 @@ func (s JobState) terminal() bool {
 // makes a sweep barely more expensive than its widest point.
 //
 // Mode with K/Theta/C, Metric, Agg, P, MinimalCompact and Index decide
-// the answer (pruned answers as exact does). Blocked, Distributed,
-// Incremental, UseSQL and Parallel decide only how fast it comes.
+// the answer ("pruned", the exact index's former name, answers as
+// "exact" does). Blocked, Distributed, Incremental, UseSQL and Parallel
+// decide only how fast it comes.
 type JobSpec struct {
 	// Dataset is the dataset ID to deduplicate. Required.
 	Dataset string `json:"dataset"`
@@ -53,7 +54,8 @@ type JobSpec struct {
 	Metric string `json:"metric,omitempty"`
 	// Agg names a fuzzydup.Agg. Default "max".
 	Agg string `json:"agg,omitempty"`
-	// Index names a fuzzydup.Index. Default "exact".
+	// Index names a fuzzydup.Index: "exact" (the default) or "qgram".
+	// "pruned" is accepted as a spelling of "exact".
 	Index string `json:"index,omitempty"`
 	// K lists the maximum group sizes to sweep (modes size/both).
 	// Default [3].
@@ -77,8 +79,8 @@ type JobSpec struct {
 	// are solved concurrently (at Parallel workers), and a boundary guard
 	// re-solves any block whose neighborhoods might cross a block edge —
 	// the results are identical to a plain batch job, only faster on
-	// large, blockable datasets. Requires the exact or pruned index;
-	// incompatible with use_sql and incremental.
+	// large, blockable datasets. Requires the exact index; incompatible
+	// with use_sql and incremental.
 	Blocked bool `json:"blocked,omitempty"`
 	// Incremental runs the job against the dataset's incremental session
 	// instead of solving from scratch: the first such job builds the
@@ -280,11 +282,9 @@ func (spec *JobSpec) validate(pl plan) error {
 		_, err := fuzzydup.NewIncremental(nil, pl.points[0].incremental(), opts)
 		return err
 	case solveDistributed:
-		// Workers solve each block with the exact index and a metric
-		// built from the block's records alone.
-		if spec.Index != string(fuzzydup.IndexExact) {
-			return fmt.Errorf("distributed jobs require the exact index, not %q", spec.Index)
-		}
+		// Workers build the metric from the block's records alone. The
+		// probe below rejects any index but the exact one, as it does for
+		// a blocked solve.
 		if distance.CorpusDependent(spec.Metric) {
 			return fmt.Errorf("metric %q is corpus-dependent and cannot be solved block-locally", spec.Metric)
 		}
@@ -901,7 +901,7 @@ func (e *Engine) solve(j *job) error {
 
 // observePoint records one solved sweep point's phase timings and work
 // counters. The blocked pipeline's counters are zero off that path and
-// the prefilter's off the pruned index, as RunReport documents.
+// the exact index's off it (under qgram), as RunReport documents.
 func (m *Metrics) observePoint(point fuzzydup.RunReport) {
 	m.phase1Duration.ObserveDuration(point.Phase1)
 	m.phase2Duration.ObserveDuration(point.Phase2)

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"fuzzydup"
-	"fuzzydup/internal/blocking"
+	"fuzzydup/internal/blocked"
 	"fuzzydup/internal/core"
 	"fuzzydup/internal/distance"
 	"fuzzydup/internal/nnindex"
@@ -43,20 +43,16 @@ import (
 // publication itself (published in query.go): every later read of that
 // snapshot returns the same slices, which sqldb never writes.
 
-// blockKeyLen is the normalized-prefix length of the block_key column —
-// the same FirstNChars(4) key the blocked pipeline's default strategy
-// seeds blocks from, which is what makes equality predicates on it
-// translatable into a restricted blocked solve.
-const blockKeyLen = 4
-
-// blockKeyOf computes the block_key column for one record: the first
-// FirstNChars key of the joined field string, or "" for records whose
-// normalized form is empty (those render as NULL).
+// blockKeyOf computes the block_key column for one record: the blocked
+// pipeline's prefix key (blocked.PrefixKey) of the joined field string,
+// or "" for records whose normalized form is empty (those render as
+// NULL). Equality predicates on the column translate into a restricted
+// blocked solve because the default strategy seeds blocks from it.
 func blockKeyOf(rec fuzzydup.Record) string { return firstKeyString(strutil.JoinFields(rec)) }
 
 // firstKeyString is blockKeyOf for an already-joined record string.
 func firstKeyString(key string) string {
-	keys := blocking.FirstNChars(blockKeyLen)(key)
+	keys := blocked.PrefixKey(key)
 	if len(keys) == 0 {
 		return ""
 	}
@@ -451,8 +447,8 @@ func (t *nnRelnTable) Rows(ctx context.Context, push []sqldb.Pushdown, limit int
 // under the solved cut, in ascending (distance, rid) order, plus its
 // neighborhood growth ng(v). Phase 1 is recomputed over the snapshot's
 // own records with the solve key's metric, cut and p, and always with
-// the exact index: for a job that solved with an approximate index this
-// is the exact relation, not the one the job read.
+// the exact index (nnindex.Pruned): for a job that solved with the
+// q-gram index this is the exact relation, not the one the job read.
 func (p *published) nnRelnRows(ctx context.Context) ([][]sqldb.Value, error) {
 	return p.nn.get(func() ([][]sqldb.Value, error) {
 		snap := p.snap
@@ -464,7 +460,11 @@ func (p *published) nnRelnRows(ctx context.Context) ([][]sqldb.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		rel, err := core.ComputeNN(nnindex.NewExact(keys, metric), p.key.cut(), p.key.P, core.Phase1Options{Ctx: ctx})
+		idx, err := nnindex.NewPruned(keys, metric, nnindex.PrunedConfig{})
+		if err != nil {
+			return nil, err
+		}
+		rel, err := core.ComputeNN(idx, p.key.cut(), p.key.P, core.Phase1Options{Ctx: ctx})
 		if err != nil {
 			return nil, err
 		}

@@ -196,8 +196,21 @@ func TestJobSpecNormalize(t *testing.T) {
 		t.Errorf("first executed point = %+v", first)
 	}
 
-	if _, err := (&JobSpec{Dataset: "x", Index: "nope"}).normalize(); err == nil {
-		t.Error("bad index accepted")
+	for _, index := range []string{"nope", "vptree", "minhash"} {
+		if _, err := (&JobSpec{Dataset: "x", Index: index}).normalize(); err == nil {
+			t.Errorf("index %q accepted", index)
+		}
+	}
+	// "pruned" is the exact index's former name: every solver takes it.
+	for _, spec := range []JobSpec{
+		{Dataset: "x", Index: "pruned"},
+		{Dataset: "x", Index: "pruned", Blocked: true},
+		{Dataset: "x", Index: "pruned", Incremental: true},
+		{Dataset: "x", Index: "pruned", Distributed: true},
+	} {
+		if _, err := spec.normalize(); err != nil {
+			t.Errorf("%+v rejected: %v", spec, err)
+		}
 	}
 	big := JobSpec{Dataset: "x", Mode: "both",
 		K: []int{2, 3, 4, 5, 6}, Theta: []float64{0.1, 0.2, 0.3, 0.4, 0.5}, C: []float64{2, 3, 4}}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"fuzzydup/internal/dataset"
 	"fuzzydup/internal/obs"
 )
 
@@ -110,5 +111,40 @@ func TestRunReportUseSQL(t *testing.T) {
 	rep := d.LastReport()
 	if rep.Groups != len(groups) || rep.DuplicateGroups == 0 {
 		t.Errorf("SQL-path report %+v for %d groups", rep, len(groups))
+	}
+}
+
+// TestDistanceCallsCountKernelVerifications pins the counting rule of
+// RunReport.DistanceCalls: the exact index verifies most candidates with
+// a bounded kernel that bypasses the metric, and those verifications are
+// distances measured all the same. A report that counted metric calls
+// alone would read near zero on every edit-metric solve.
+func TestDistanceCallsCountKernelVerifications(t *testing.T) {
+	recs := recordsOf(dataset.Census(dataset.Config{Size: 400, Seed: 1}))
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"pruned", Options{Index: IndexPruned}},
+		{"blocked", Options{Blocking: &BlockingOptions{}}},
+	} {
+		d, err := New(recs, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls0 := d.counter.Calls()
+		if _, err := d.GroupsBySize(4, 4); err != nil {
+			t.Fatal(err)
+		}
+		rep := d.LastReport()
+		metricCalls := d.counter.Calls() - calls0
+		if rep.Phase1Candidates == 0 {
+			t.Errorf("%s: no kernel verifications; the certified scan did not engage: %+v", tc.name, rep)
+		}
+		if rep.DistanceCalls == 0 || rep.DistanceCalls != rep.Phase1Candidates+metricCalls {
+			t.Errorf("%s: DistanceCalls = %d, want Phase1Candidates %d + metric calls %d",
+				tc.name, rep.DistanceCalls, rep.Phase1Candidates, metricCalls)
+		}
 	}
 }

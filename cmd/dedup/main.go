@@ -59,8 +59,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		agg       = fs.String("agg", "max", "SN aggregation: max, avg, max2")
 		index     = fs.String("index", "exact", "nearest-neighbor index: exact, or qgram for the probabilistic q-gram index (recommended beyond ~10k rows)")
 		header    = fs.Bool("header", false, "skip the first CSV row")
-		blocked   = fs.Bool("blocked", false, "shard the corpus into blocks and solve them concurrently (-parallel workers); results are identical to the plain solve")
-		parallel  = fs.Int("parallel", 4, "worker count for -blocked block solves and exact-index phase-1 lookups")
+		blocked   = fs.Bool("blocked", false, "shard the corpus into blocks and solve them concurrently within the -parallel budget; results are identical to the plain solve")
+		parallel  = fs.Int("parallel", 4, "goroutines for exact-index phase-1 lookups; under -blocked, one budget shared by concurrent block solves and each block's lookups")
 		baseline  = fs.Bool("baseline", false, "run single-linkage threshold clustering at -theta instead of DE")
 		truth     = fs.String("truth", "", "ground-truth file (cmd/datagen format); prints precision/recall instead of groups")
 		stats     = fs.Bool("stats", false, "print a run report (phase timings, probe and distance counts) to stderr")

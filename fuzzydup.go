@@ -113,9 +113,12 @@ type Options struct {
 	// is identical to the in-memory path; this exists for inspection and
 	// for exercising the full stack.
 	UseSQL bool
-	// Parallel, when > 1, fans phase-1 lookups (or, under Blocking, block
-	// solves) across that many goroutines. Only effective with the exact
-	// index (the default); the output is identical to a serial run.
+	// Parallel, when > 1, fans phase-1 lookups across that many
+	// goroutines. Only effective with the exact index (the default); the
+	// output is identical to a serial run. Under Blocking it is the
+	// solve's one goroutine budget: up to Parallel blocks solve at once,
+	// and each fans its lookups across Parallel divided by the number
+	// solving, so a corpus that forms one block still uses all of them.
 	Parallel int
 	// Tracer, when non-nil, receives hierarchical spans for every solve:
 	// a "dedup.solve" root with "phase1" and "phase2" children carrying
@@ -139,7 +142,8 @@ type Options struct {
 // Options.Blocking. The solve itself is fixed: blocked.DefaultStrategy
 // (blocks seeded from a 4-character normalized prefix and the first
 // token's Soundex code, a window-8 sorted-neighborhood canopy pass), the
-// exhaustive boundary guard, and block solves run at Options.Parallel.
+// exhaustive boundary guard, and Options.Parallel as the goroutine
+// budget shared by concurrent block solves and each block's lookups.
 //
 // In the blocked mode RunReport.Phase1 is the wall-clock of the
 // (parallel) block solves and Phase2 is everything else — seeding,

@@ -89,9 +89,15 @@ func PrefixKey(key string) []string { return blocking.FirstNChars(4)(key) }
 
 // Options tunes the blocked solve.
 type Options struct {
-	// Parallel is the block-solve worker-pool size; values below 1 mean
-	// serial. Parallelism never changes the output: blocks are solved
-	// independently and reconciled in a deterministic order.
+	// Parallel is the solve's goroutine budget P; values below 1 mean
+	// serial. Each round solves its d dirty blocks on min(P, d) workers
+	// and fans every local block's phase-1 lookups across
+	// max(1, P/min(P, d)) goroutines, so a lone block (a corpus that
+	// never splits, the forced full solve) uses all P and P or more
+	// blocks use one each. A Solver's remote solves take one worker
+	// each. Parallelism never changes the output: blocks are solved
+	// independently, a parallel phase 1 equals a serial one, and blocks
+	// are reconciled in a deterministic order.
 	Parallel int
 	// Exhaustive switches the guard to full foreign scans instead of
 	// pruning with DefaultPivots pivot certificates. Required for metrics
@@ -227,13 +233,15 @@ type BlockResult struct {
 
 // SolveBlock runs the exact two-phase solve over one block's records:
 // a block-local nnindex.Pruned (bit-for-bit the exact answers, so the
-// fixpoint proof and the guard's certificates are untouched), sequential
-// phase-1 lookups, and the canonical partition. Record order must be
-// ascending in the global IDs the block was cut from — the remap is then
-// monotone, so the (distance, ID) tie-break and the greedy anchor order
-// inside the block coincide with the global ones restricted to it. This
-// is the primitive a remote worker executes for the distributed solve;
-// the local pipeline goes through the same code via solveOne.
+// fixpoint proof and the guard's certificates are untouched), phase-1
+// lookups in ID order or, under opts.Parallel, fanned across goroutines
+// (the same relation either way), and the canonical partition. Record
+// order must be ascending in the global IDs the block was cut from — the
+// remap is then monotone, so the (distance, ID) tie-break and the greedy
+// anchor order inside the block coincide with the global ones restricted
+// to it. This is the primitive a remote worker executes for the
+// distributed solve; the local pipeline goes through the same code via
+// solveOne.
 func SolveBlock(records []string, metric distance.Metric, prob core.Problem, opts core.Phase1Options) (*BlockResult, error) {
 	t0 := time.Now()
 	opts.Order = core.OrderSequential
@@ -443,18 +451,17 @@ func Solve(keys []string, metric distance.Metric, prob core.Problem, strat Strat
 }
 
 // solveBlocks runs the dirty blocks through the exact solver on a
-// bounded worker pool, filling blocks[ci] for each dirty ci.
+// bounded worker pool, filling blocks[ci] for each dirty ci. The pool
+// splits the Parallel budget (see Options.Parallel): each of its
+// workers hands its share, budget/workers, to the phase 1 of the local
+// blocks it solves.
 func solveBlocks(keys []string, metric distance.Metric, prob core.Problem, comps [][]int, blocks []*blockSolve, dirty []int, opts Options) error {
 	if len(dirty) == 0 {
 		return nil
 	}
-	workers := opts.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(dirty) {
-		workers = len(dirty)
-	}
+	budget := max(opts.Parallel, 1)
+	workers := min(budget, len(dirty))
+	lookups := budget / workers
 	var (
 		next     = int64(-1)
 		wg       sync.WaitGroup
@@ -476,7 +483,7 @@ func solveBlocks(keys []string, metric distance.Metric, prob core.Problem, comps
 				if opts.Solver != nil {
 					bs, err = solveRemote(prob, comps[ci], opts)
 				} else {
-					bs, err = solveOne(keys, metric, prob, comps[ci], opts)
+					bs, err = solveOne(keys, metric, prob, comps[ci], lookups, opts)
 				}
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
@@ -491,11 +498,12 @@ func solveBlocks(keys []string, metric distance.Metric, prob core.Problem, comps
 }
 
 // solveOne solves a single block: remap its members (ascending global
-// IDs) to dense local IDs, run both phases through SolveBlock,
-// and keep the local relation for the guard. The remap is monotone, so
-// the (distance, ID) tie-break and the greedy anchor order inside the
-// block coincide with the global ones restricted to it.
-func solveOne(keys []string, metric distance.Metric, prob core.Problem, members []int, opts Options) (*blockSolve, error) {
+// IDs) to dense local IDs, run both phases through SolveBlock with
+// phase 1 fanned across lookups goroutines, and keep the local relation
+// for the guard. The remap is monotone, so the (distance, ID) tie-break
+// and the greedy anchor order inside the block coincide with the global
+// ones restricted to it.
+func solveOne(keys []string, metric distance.Metric, prob core.Problem, members []int, lookups int, opts Options) (*blockSolve, error) {
 	local := make([]string, len(members))
 	for i, id := range members {
 		local[i] = keys[id]
@@ -504,7 +512,7 @@ func solveOne(keys []string, metric distance.Metric, prob core.Problem, members 
 	if ex := prob.Exclude; ex != nil {
 		lprob.Exclude = func(a, b int) bool { return ex(members[a], members[b]) }
 	}
-	r, err := SolveBlock(local, metric, lprob, core.Phase1Options{Ctx: opts.Ctx, Stats: opts.Stats})
+	r, err := SolveBlock(local, metric, lprob, core.Phase1Options{Parallel: lookups, Ctx: opts.Ctx, Stats: opts.Stats})
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 
 	"fuzzydup/internal/blocking"
 	"fuzzydup/internal/core"
+	"fuzzydup/internal/dataset"
 	"fuzzydup/internal/distance"
 	"fuzzydup/internal/nnindex"
 )
@@ -180,26 +181,63 @@ func TestBlockedForcedFull(t *testing.T) {
 
 // TestBlockedDeterminism: the same input must yield identical results
 // (including under high parallelism), and parallelism must not change
-// the output.
+// the output. The census corpus never splits: its lone block's phase 1
+// must fan out across the whole Parallel budget.
 func TestBlockedDeterminism(t *testing.T) {
-	keys := clusteredKeys(rand.New(rand.NewSource(11)), 300)
-	prob := core.Problem{Cut: core.Cut{MaxSize: 3}, C: 3}
-	var first *Result
-	for _, par := range []int{1, 4, 8, 4} {
-		res, err := Solve(keys, numMetric, prob, numStrategy(), Options{Parallel: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = res
-			continue
-		}
-		if !reflect.DeepEqual(res.Groups, first.Groups) {
-			t.Fatalf("parallel=%d changed the partition", par)
-		}
-		if res.BlocksSolved != first.BlocksSolved || res.Rounds != first.Rounds ||
-			res.BoundaryViolations != first.BoundaryViolations {
-			t.Fatalf("parallel=%d changed the pipeline counters: %+v vs %+v", par, res, first)
+	for _, tc := range []struct {
+		name   string
+		keys   []string
+		metric distance.Metric
+		prob   core.Problem
+		strat  Strategy
+		opts   Options
+		lone   bool
+	}{
+		{
+			name:   "clustered",
+			keys:   clusteredKeys(rand.New(rand.NewSource(11)), 300),
+			metric: numMetric,
+			prob:   core.Problem{Cut: core.Cut{MaxSize: 3}, C: 3},
+			strat:  numStrategy(),
+		},
+		{
+			name:   "census one block",
+			keys:   dataset.Census(dataset.Config{Size: 300}).Keys(),
+			metric: distance.Edit{},
+			prob:   core.Problem{Cut: core.Cut{MaxSize: 4}, C: 4},
+			strat:  DefaultStrategy(),
+			opts:   Options{Exhaustive: true},
+			lone:   true,
+		},
+	} {
+		var first *Result
+		for _, par := range []int{1, 4, 8, 4} {
+			var stats core.Phase1Stats
+			opts := tc.opts
+			opts.Parallel, opts.Stats = par, &stats
+			res, err := Solve(tc.keys, tc.metric, tc.prob, tc.strat, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.lone {
+				if res.Blocks != 1 {
+					t.Fatalf("%s: %d blocks, want one", tc.name, res.Blocks)
+				}
+				if got := stats.Workers.Load(); got != int32(par) {
+					t.Fatalf("%s: parallel=%d ran the lone block's phase 1 on %d goroutines", tc.name, par, got)
+				}
+			}
+			if first == nil {
+				first = res
+				continue
+			}
+			if !reflect.DeepEqual(res.Groups, first.Groups) {
+				t.Fatalf("%s: parallel=%d changed the partition", tc.name, par)
+			}
+			if res.BlocksSolved != first.BlocksSolved || res.Rounds != first.Rounds ||
+				res.BoundaryViolations != first.BoundaryViolations {
+				t.Fatalf("%s: parallel=%d changed the pipeline counters: %+v vs %+v", tc.name, par, res, first)
+			}
 		}
 	}
 }

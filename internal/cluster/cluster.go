@@ -146,10 +146,14 @@ type SolveResponse struct {
 	// Cached reports the response was replayed from the idempotency
 	// cache rather than recomputed.
 	Cached bool `json:"cached,omitempty"`
-	// Lookups and Probes are the solve's phase-1 counters, folded into
+	// Lookups, Probes and the certified scan's Pruned, Candidates and
+	// Fallbacks are the solve's core.Phase1Stats counters, folded into
 	// the coordinator's stats so distributed runs report true totals.
-	Lookups int64 `json:"lookups"`
-	Probes  int64 `json:"probes"`
+	Lookups    int64 `json:"lookups"`
+	Probes     int64 `json:"probes"`
+	Pruned     int64 `json:"pruned"`
+	Candidates int64 `json:"candidates"`
+	Fallbacks  int64 `json:"fallbacks"`
 }
 
 // errorBody mirrors the server's structured error shape so cluster

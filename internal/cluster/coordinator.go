@@ -346,6 +346,9 @@ func (c *Coordinator) solveBlock(ctx context.Context, ds Dataset, keys []string,
 			if stats != nil {
 				stats.Lookups.Add(resp.Lookups)
 				stats.Probes.Add(resp.Probes)
+				stats.Pruned.Add(resp.Pruned)
+				stats.Candidates.Add(resp.Candidates)
+				stats.Fallbacks.Add(resp.Fallbacks)
 			}
 			if hop > 0 {
 				c.cfg.Logger.Info("block reassigned",

@@ -45,6 +45,11 @@ type Worker struct {
 	Rejected  atomic.Int64 // requests refused while draining
 	// SolveDuration observes worker-side solve wall clocks (ms buckets).
 	SolveDuration *obs.Histogram
+	// CountDistances, when non-nil, receives each executed solve's
+	// distance work: bounded-kernel verifications plus metric calls
+	// (cache replays add nothing). The serving layer adds it to the
+	// node's distance_calls counter.
+	CountDistances func(n int64)
 }
 
 // NewWorker builds a Worker. cacheCap <= 0 selects defaultCacheCap;
@@ -114,11 +119,12 @@ func (w *Worker) HandleSolve(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.mu.Unlock()
 
-	metric, err := distance.ByName(req.Params.Metric, req.Records)
+	base, err := distance.ByName(req.Params.Metric, req.Records)
 	if err != nil {
 		writeClusterError(rw, http.StatusBadRequest, "bad_spec", err.Error())
 		return
 	}
+	metric := distance.NewCounting(base)
 	var stats core.Phase1Stats
 	res, err := blocked.SolveBlock(req.Records, metric, prob, core.Phase1Options{
 		Ctx:   r.Context(),
@@ -133,12 +139,18 @@ func (w *Worker) HandleSolve(rw http.ResponseWriter, r *http.Request) {
 	w.Solves.Add(1)
 	w.SolveDuration.ObserveDuration(res.Dur)
 	resp := &SolveResponse{
-		Rel:     res.Rel,
-		Groups:  res.Groups,
-		Stats:   res.Stats,
-		DurNs:   int64(res.Dur),
-		Lookups: stats.Lookups.Load(),
-		Probes:  stats.Probes.Load(),
+		Rel:        res.Rel,
+		Groups:     res.Groups,
+		Stats:      res.Stats,
+		DurNs:      int64(res.Dur),
+		Lookups:    stats.Lookups.Load(),
+		Probes:     stats.Probes.Load(),
+		Pruned:     stats.Pruned.Load(),
+		Candidates: stats.Candidates.Load(),
+		Fallbacks:  stats.Fallbacks.Load(),
+	}
+	if w.CountDistances != nil {
+		w.CountDistances(metric.Calls() + resp.Candidates)
 	}
 	if resp.Groups == nil {
 		resp.Groups = [][]int{}

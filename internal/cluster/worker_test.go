@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,8 +51,14 @@ func edProblem() core.Problem {
 }
 
 func TestWorkerSolveAndCache(t *testing.T) {
-	workers, urls := startWorkers(t, 1)
-	w, url := workers[0], urls[0]
+	w := NewWorker(testLogger(t), 0)
+	var counted atomic.Int64
+	w.CountDistances = func(n int64) { counted.Add(n) }
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST "+SolvePath, w.HandleSolve)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	url := ts.URL
 	params := ParamsFor("ed", edProblem())
 	records := []string{"kettlebridge", "kettlebrldge", "kettlebridg", "parliamentary"}
 	body := solveBody(t, Dataset{ID: "ds", Revision: 1}, records, params)
@@ -73,6 +80,15 @@ func TestWorkerSolveAndCache(t *testing.T) {
 	if w.SolveDuration.Count() != 1 {
 		t.Errorf("SolveDuration count = %d", w.SolveDuration.Count())
 	}
+	// The response forwards the certified scan's counters, and the solve's
+	// distance work (kernel verifications plus metric calls) is counted.
+	if first.Lookups != int64(len(records)) || first.Candidates == 0 {
+		t.Errorf("first solve's phase-1 counters: %+v", first)
+	}
+	calls := counted.Load()
+	if calls < first.Candidates {
+		t.Errorf("counted %d distance calls, fewer than the %d kernel verifications", calls, first.Candidates)
+	}
 
 	// The identical request replays from the idempotency cache.
 	_, raw = postSolve(t, url, body)
@@ -88,6 +104,10 @@ func TestWorkerSolveAndCache(t *testing.T) {
 	}
 	if w.Solves.Load() != 1 || w.CacheHits.Load() != 1 {
 		t.Fatalf("counters after replay: solves=%d hits=%d", w.Solves.Load(), w.CacheHits.Load())
+	}
+	if second.Candidates != first.Candidates || counted.Load() != calls {
+		t.Errorf("replay: candidates %d (first %d), counted %d distance calls (first %d)",
+			second.Candidates, first.Candidates, counted.Load(), calls)
 	}
 
 	// The same block under different parameters is a distinct solve: the

@@ -84,3 +84,36 @@ func TestBoundedOSATransposition(t *testing.T) {
 		t.Errorf("long transposition = %d, want 1", got)
 	}
 }
+
+// FuzzBoundedKernels holds the bounded kernels to the full DP oracles on
+// arbitrary strings, past the 64-rune word boundary and with non-ASCII
+// runes: each must return min(true distance, cap+1) at the fuzzed cap,
+// at every cap next to the true distance, and at caps 63–65.
+func FuzzBoundedKernels(f *testing.F) {
+	long := strings.Repeat("kettlebridge ", 6) // 78 runes
+	f.Add("kitten", "sitting", uint16(2))
+	f.Add("shania", "shaina", uint16(1))
+	f.Add(long, long[1:]+"x", uint16(3))
+	f.Add(long+"ünïcødé", "ünïcødé"+long, uint16(70))
+	f.Add(strings.Repeat("é", 65), strings.Repeat("é", 64)+"e", uint16(1))
+	f.Add("", "日本語のテキスト", uint16(0))
+	f.Fuzz(func(t *testing.T, a, b string, maxDist uint16) {
+		// Cap the lengths so the quadratic oracles stay fast.
+		ra, rb := []rune(a), []rune(b)
+		ra, rb = ra[:min(len(ra), 300)], rb[:min(len(rb), 300)]
+		a, b = string(ra), string(rb)
+		trueLev, trueOSA := Levenshtein(a, b), OSADistance(a, b)
+		var sc BoundedScratch
+		for _, c := range []int{int(maxDist), trueLev - 1, trueLev, trueLev + 1, trueOSA - 1, trueOSA, trueOSA + 1, 63, 64, 65} {
+			if c < 0 {
+				continue
+			}
+			if got, want := BoundedLevenshteinRunes(ra, rb, c, &sc), min(trueLev, c+1); got != want {
+				t.Fatalf("BoundedLevenshteinRunes(%q, %q, %d) = %d, want %d (true %d)", a, b, c, got, want, trueLev)
+			}
+			if got, want := BoundedOSARunes(ra, rb, c, &sc), min(trueOSA, c+1); got != want {
+				t.Fatalf("BoundedOSARunes(%q, %q, %d) = %d, want %d (true %d)", a, b, c, got, want, trueOSA)
+			}
+		}
+	})
+}

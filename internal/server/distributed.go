@@ -44,9 +44,10 @@ func (e *Engine) solveDistributed(j *job) error {
 		return err
 	}
 	// The counter sees only coordinator-side calls (guard probes, local
-	// fallbacks, representatives), and the phase-1 stats only the local
-	// fallbacks' kernel verifications: the report does not count the
-	// distances workers measure.
+	// fallbacks, representatives); the phase-1 stats fold in every
+	// block's kernel verifications, remote ones included (SolveResponse
+	// forwards them). A worker's own metric calls reach only its
+	// distance_calls counter.
 	counter := distance.NewCounting(base)
 	agg, err := core.ParseAgg(j.prob.Agg)
 	if err != nil {

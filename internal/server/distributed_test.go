@@ -76,6 +76,25 @@ func TestDistributedJobMatchesBatch(t *testing.T) {
 	if got := int64(promSum(t, coord.URL, "dedupd_cluster_agg_worker_block_solves_total")); got != solves {
 		t.Errorf("cluster agg solves = %d, workers report %d", got, solves)
 	}
+
+	// Remote block solves count their distance work: the report carries
+	// the workers' kernel verifications, and each worker adds its solves
+	// to its own distance counter, which the roll-up sums.
+	var distStatus JobStatus
+	doJSON(t, "GET", coord.URL+"/v1/jobs/"+dist.ID, "", "", &distStatus)
+	if rep := distStatus.Report; rep == nil || rep.Phase1Candidates == 0 || rep.DistanceCalls < rep.Phase1Candidates {
+		t.Errorf("distributed report misses the workers' distance work: %+v", rep)
+	}
+	var calls int64
+	for _, w := range workers {
+		calls += int64(promSum(t, w.URL, "dedupd_distance_calls_total"))
+	}
+	if calls == 0 {
+		t.Error("no worker counted a distance call")
+	}
+	if got := int64(promSum(t, coord.URL, "dedupd_cluster_agg_distance_calls_total")); got != calls {
+		t.Errorf("cluster agg distance calls = %d, workers report %d", got, calls)
+	}
 	if got := promSum(t, coord.URL, "dedupd_cluster_workers_scraped"); got != 3 {
 		t.Errorf("workers_scraped = %v, want 3", got)
 	}

@@ -72,15 +72,18 @@ type JobSpec struct {
 	// UseSQL runs phase 2 through the embedded relational engine.
 	UseSQL bool `json:"use_sql,omitempty"`
 	// Parallel fans phase-1 lookups across this many goroutines (exact
-	// index only).
+	// index only). Under Blocked it is the solve's goroutine budget,
+	// shared by concurrent block solves and each block's lookups; under
+	// Distributed it counts the blocks in flight to workers (default 8).
 	Parallel int `json:"parallel,omitempty"`
 	// Blocked routes every sweep point through the sharded blocked
 	// pipeline: the corpus is partitioned into candidate blocks, blocks
-	// are solved concurrently (at Parallel workers), and a boundary guard
-	// re-solves any block whose neighborhoods might cross a block edge —
-	// the results are identical to a plain batch job, only faster on
-	// large, blockable datasets. Requires the exact index; incompatible
-	// with use_sql and incremental.
+	// are solved concurrently (within the Parallel budget: a lone block's
+	// lookups use all of it), and a boundary guard re-solves any block
+	// whose neighborhoods might cross a block edge — the results are
+	// identical to a plain batch job, only faster on large, blockable
+	// datasets. Requires the exact index; incompatible with use_sql and
+	// incremental.
 	Blocked bool `json:"blocked,omitempty"`
 	// Incremental runs the job against the dataset's incremental session
 	// instead of solving from scratch: the first such job builds the

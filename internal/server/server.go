@@ -328,6 +328,7 @@ func New(cfg Config) (*Server, error) {
 		s.metrics.declare("cluster", expvar.Func(s.coordinatorJSON), s.coordinatorFamilies)
 	case "worker":
 		s.worker = cluster.NewWorker(cfg.Logger, 0)
+		s.worker.CountDistances = s.metrics.distanceCalls.Add
 		s.metrics.declare("cluster", expvar.Func(s.workerJSON), s.workerFamilies)
 		if len(cfg.Peers) > 0 {
 			if cfg.Advertise == "" {

@@ -134,6 +134,15 @@ if ! cmp -s "$workdir/result.batch" "$workdir/result.distributed"; then
   exit 1
 fi
 
+# The workers counted the distances their block solves measured, and
+# the coordinator's roll-up of their counters sees them.
+agg_calls=$(curl -fsS "$base/metrics?format=prometheus" \
+  | awk '$1 == "dedupd_cluster_agg_distance_calls_total" { print $2 }')
+if ! awk -v v="${agg_calls:-0}" 'BEGIN { exit !(v > 0) }'; then
+  echo "coordinator's dedupd_cluster_agg_distance_calls_total is '${agg_calls}', want > 0" >&2
+  exit 1
+fi
+
 # The fleet view must have noticed the death (a routed solve marks the
 # worker dead immediately; otherwise the 3s heartbeat TTL expires it).
 sleep 3.5
@@ -144,4 +153,4 @@ if [ "$survivors" -gt 2 ]; then
   exit 1
 fi
 
-echo "cluster-smoke OK: distributed result identical to batch with a worker SIGKILLed mid-run (survivors: $survivors/3)"
+echo "cluster-smoke OK: distributed result identical to batch with a worker SIGKILLed mid-run (survivors: $survivors/3, worker distance calls: $agg_calls)"

@@ -154,6 +154,11 @@ type SolveResponse struct {
 	Pruned     int64 `json:"pruned"`
 	Candidates int64 `json:"candidates"`
 	Fallbacks  int64 `json:"fallbacks"`
+	// MetricCalls is the solve's calls of the metric itself, outside the
+	// bounded kernel (the index's exact fallbacks, such as every lookup
+	// under a metric the scan cannot bound), added to the coordinator's
+	// metric when that is a distance.Counting.
+	MetricCalls int64 `json:"metric_calls"`
 }
 
 // errorBody mirrors the server's structured error shape so cluster

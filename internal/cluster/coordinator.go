@@ -293,8 +293,11 @@ func (c *Coordinator) counters(id string) *workerCounters {
 // Solve runs one distributed solve: the blocked pipeline executes
 // locally (seeding, canopy, guard, merge, reconcile) with every dirty
 // block handed to c's workers. metricName must resolve to metric via
-// distance.ByName and be corpus-independent. The result is bit-for-bit
-// what core.Solve computes over keys — see the package comment.
+// distance.ByName and be corpus-independent. When metric is a
+// *distance.Counting, the workers' metric calls are added to it, so it
+// counts the solve's metric calls wherever they ran. The result is
+// bit-for-bit what core.Solve computes over keys — see the package
+// comment.
 func (c *Coordinator) Solve(ctx context.Context, ds Dataset, keys []string, metric distance.Metric, metricName string, prob core.Problem, strat blocked.Strategy, opts blocked.Options) (*blocked.Result, error) {
 	if distance.CorpusDependent(metricName) {
 		return nil, fmt.Errorf("cluster: metric %q is corpus-dependent and cannot be distributed", metricName)
@@ -349,6 +352,9 @@ func (c *Coordinator) solveBlock(ctx context.Context, ds Dataset, keys []string,
 				stats.Pruned.Add(resp.Pruned)
 				stats.Candidates.Add(resp.Candidates)
 				stats.Fallbacks.Add(resp.Fallbacks)
+			}
+			if cm, ok := metric.(*distance.Counting); ok {
+				cm.Add(resp.MetricCalls)
 			}
 			if hop > 0 {
 				c.cfg.Logger.Info("block reassigned",

@@ -139,18 +139,19 @@ func (w *Worker) HandleSolve(rw http.ResponseWriter, r *http.Request) {
 	w.Solves.Add(1)
 	w.SolveDuration.ObserveDuration(res.Dur)
 	resp := &SolveResponse{
-		Rel:        res.Rel,
-		Groups:     res.Groups,
-		Stats:      res.Stats,
-		DurNs:      int64(res.Dur),
-		Lookups:    stats.Lookups.Load(),
-		Probes:     stats.Probes.Load(),
-		Pruned:     stats.Pruned.Load(),
-		Candidates: stats.Candidates.Load(),
-		Fallbacks:  stats.Fallbacks.Load(),
+		Rel:         res.Rel,
+		Groups:      res.Groups,
+		Stats:       res.Stats,
+		DurNs:       int64(res.Dur),
+		Lookups:     stats.Lookups.Load(),
+		Probes:      stats.Probes.Load(),
+		Pruned:      stats.Pruned.Load(),
+		Candidates:  stats.Candidates.Load(),
+		Fallbacks:   stats.Fallbacks.Load(),
+		MetricCalls: metric.Calls(),
 	}
 	if w.CountDistances != nil {
-		w.CountDistances(metric.Calls() + resp.Candidates)
+		w.CountDistances(resp.MetricCalls + resp.Candidates)
 	}
 	if resp.Groups == nil {
 		resp.Groups = [][]int{}

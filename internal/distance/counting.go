@@ -28,5 +28,9 @@ func (c *Counting) Distance(a, b string) float64 {
 // Calls returns the number of Distance calls made through the wrapper.
 func (c *Counting) Calls() int64 { return c.n.Load() }
 
+// Add counts n calls of the wrapped metric made elsewhere on the
+// wrapper's behalf, such as by a block solve on another host.
+func (c *Counting) Add(n int64) { c.n.Add(n) }
+
 // Unwrap returns the underlying metric.
 func (c *Counting) Unwrap() Metric { return c.m }

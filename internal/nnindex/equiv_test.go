@@ -224,7 +224,7 @@ func TestPrunedTopKBelowCutMinimum(t *testing.T) {
 
 // TestPrunedPhase1EngagesPrefilter guards against the prefilter silently
 // degenerating into a pure fallback: on a clustered corpus with a size
-// cut, band or bound pruning must do real work.
+// cut, the scan's per-pair bound must prune real work.
 func TestPrunedPhase1EngagesPrefilter(t *testing.T) {
 	keys := equivCorpus(rand.New(rand.NewSource(21)), 200)
 	pruned, err := nnindex.NewPruned(keys, distance.Edit{}, nnindex.PrunedConfig{})

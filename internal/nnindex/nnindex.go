@@ -4,15 +4,18 @@
 // "how many tuples lie within radius r of v" (the neighborhood-growth
 // count).
 //
-// Phase 1 reads from one of two indexes. Pruned is the exact one: a
-// certified signature scan that answers bit-for-bit like Exact, which
+// Phase 1 reads from one of two indexes. Pruned is the exact one: the
+// certified signature scan (Scan), which bounds every record with one
+// per-pair lower bound over q-gram signatures, verifies only the records
+// the bound cannot exclude, and answers bit-for-bit like Exact. Exact
 // scans the whole relation per query and is the ground truth (the tests'
-// oracle and the experiments' exact index). QGram is the stand-in for the probabilistic disk-based
-// indexes the paper cites ([24, 23, 9]): an inverted index from q-grams
-// to posting lists, stored page-wise behind a buffer pool, with candidate
-// generation followed by metric verification. The paper treats such
-// indexes as exact; our tests quantify how close that is. VPTree and
-// MinHash serve only the index experiments.
+// oracle and the experiments' exact index). QGram is the stand-in for
+// the probabilistic disk-based indexes the paper cites ([24, 23, 9]):
+// an inverted index from q-grams to posting lists, stored page-wise
+// behind a buffer pool, with candidate generation followed by metric
+// verification. The paper treats such indexes as exact; our tests
+// quantify how close that is. VPTree and MinHash serve only the index
+// experiments.
 package nnindex
 
 import (

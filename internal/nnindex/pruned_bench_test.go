@@ -14,14 +14,14 @@ import (
 // direct ratio of the paired ns/op series. One op is one phase-1 lookup
 // for one record — both families phase 1 issues are measured:
 //
-//   - topk: TopK(id, 3), the size-cut (DE_S) lookup. Certification needs
-//     the 3rd-nearest neighbor under the query's floor, so records whose
-//     cluster is smaller than k are answered by the bounded counting-sort
-//     scan; the win is the pruned fraction of exact-metric calls.
-//   - range: Range(id, 0.15), the diameter-cut (DE_D) lookup. 0.15 sits
-//     at or below the band-certificate floor for typical keys, so the
-//     query is served from the nonzero-band candidate set alone — the
-//     headline >10x case on clustered corpora.
+//   - topk: TopK(id, 3), the size-cut (DE_S) lookup, answered by the
+//     bound-ordered counting-sort scan; the win is the pruned fraction
+//     of exact-metric calls.
+//   - range: Range(id, 0.15), the diameter-cut (DE_D) lookup. One
+//     popcount pass bounds every record, and at 0.15 the bound reaches
+//     the threshold for nearly all of them: on these corpora fewer
+//     than one record per query reaches the kernel, so the leg times
+//     the popcount pass — the headline >10x case.
 //
 // The default corpora stay small (2k) so generic -bench=. sweeps are
 // cheap; PHASE1_BENCH=1 adds the 10k corpora (the dedicated CI step sets
@@ -31,7 +31,7 @@ import (
 
 // benchPrunedClustered builds a corpus of tight typo clusters amid
 // random noise: the regime the prefilter targets, where almost every
-// pair is far and the band tables pull only the cluster-mates.
+// pair is far and only the cluster-mates survive the bound.
 func benchPrunedClustered(r *rand.Rand, n int) []string {
 	keys := make([]string, 0, n)
 	for len(keys) < n {
@@ -50,7 +50,7 @@ func benchPrunedClustered(r *rand.Rand, n int) []string {
 }
 
 // benchPrunedUniform is pure noise — no planted clusters, so every
-// neighbor is distant and the certificates carry the whole prune.
+// neighbor is distant and the bound carries the whole prune.
 func benchPrunedUniform(r *rand.Rand, n int) []string {
 	keys := make([]string, n)
 	for i := range keys {

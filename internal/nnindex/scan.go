@@ -9,9 +9,9 @@ import (
 )
 
 // Scan is the certified linear nearest-neighbor scan: the one engine
-// behind Pruned.TopK when the band certificate does not hold, and behind
-// the online query path's misses (internal/querysnap). It returns the
-// top-k bit-for-bit identically to an exact scan while skipping most
+// behind every Pruned query (its top-k and its per-pair bound), and
+// behind the online query path's misses (internal/querysnap). It returns
+// the top-k bit-for-bit identically to an exact scan while skipping most
 // exact-metric evaluations:
 //
 //  1. Sound lower bound. One bit-parallel pass over the flat signature
@@ -36,6 +36,10 @@ import (
 //     kernel returns the exact edit count, and the distance is the same
 //     float64 division over the same normalized-rune lengths as
 //     distance.Edit/Damerau, so answers are byte-identical to Exact's.
+//
+// The bound holds for every key, including one whose normalized form is
+// empty: it has no q-grams, so its signature is all-zero and its bound
+// against a record counts the record's own grams and length.
 //
 // Only the edit-family metrics ("ed"/"damerau" by Name(), looked up
 // through counting wrappers) admit the bound. For any other metric the
@@ -115,17 +119,12 @@ func (s *Scan) sigOf(i int) Signature {
 }
 
 // scanScratch is one query's worth of reusable buffers: the scan's
-// bounds, buckets and order, the bounded kernels' DP rows, and Pruned's
-// band-candidate lists.
+// bounds, buckets and order, and the bounded kernels' DP rows.
 type scanScratch struct {
 	lbs      []float64 // per-record lower bounds
 	bucketOf []uint8   // per-record counting-sort buckets
 	order    []int32   // records in ascending-bucket order
 	ed       distance.BoundedScratch
-
-	cands   []int32   // band candidate IDs
-	candLbs []float64 // per-candidate lower bounds
-	candPos []int32   // candidate positions sorted by (bound, ID)
 }
 
 func (s *Scan) getScratch() *scanScratch {

@@ -43,11 +43,11 @@ func (e *Engine) solveDistributed(j *job) error {
 	if err != nil {
 		return err
 	}
-	// The counter sees only coordinator-side calls (guard probes, local
-	// fallbacks, representatives); the phase-1 stats fold in every
+	// The counter sees the coordinator's own calls (guard probes, local
+	// fallbacks, representatives) and the workers' metric calls, which
+	// the coordinator adds to it; the phase-1 stats fold in every
 	// block's kernel verifications, remote ones included (SolveResponse
-	// forwards them). A worker's own metric calls reach only its
-	// distance_calls counter.
+	// forwards both).
 	counter := distance.NewCounting(base)
 	agg, err := core.ParseAgg(j.prob.Agg)
 	if err != nil {

@@ -27,23 +27,24 @@ func startClusterServers(t *testing.T, n int) (coord *httptest.Server, workers [
 	return coord, workers
 }
 
-// TestDistributedJobMatchesBatch runs the same sweep twice — a batch job
-// on a standalone node and a distributed job on a three-worker cluster —
-// over the same dataset, and requires identical results: groups,
-// duplicates, pairs, and representatives.
-func TestDistributedJobMatchesBatch(t *testing.T) {
+// runBatchAndDistributed runs the same sweep twice — a batch job on a
+// standalone node and a distributed job on a three-worker cluster — over
+// the seed dataset, requires identical results (groups, duplicates,
+// pairs, and representatives), and returns the distributed job's status
+// with the cluster's nodes. extra is appended to the job spec.
+func runBatchAndDistributed(t *testing.T, extra string) (dist JobStatus, coord *httptest.Server, workers []*httptest.Server) {
+	t.Helper()
 	_, standalone := newTestServer(t, Config{Workers: 2})
 	dsBatch := createSeedDataset(t, standalone.URL)
-	coord, workers := startClusterServers(t, 3)
+	coord, workers = startClusterServers(t, 3)
 	dsDist := createSeedDataset(t, coord.URL)
 
-	spec := `{"dataset":%q,"mode":"size","k":[3,2],"c":[4]%s}`
+	spec := `{"dataset":%q,"mode":"size","k":[3,2],"c":[4]` + extra + `%s}`
 	var batch JobStatus
 	if code := doJSON(t, "POST", standalone.URL+"/v1/jobs", "application/json",
 		fmt.Sprintf(spec, dsBatch, ""), &batch); code != http.StatusAccepted {
 		t.Fatalf("batch submit: status %d", code)
 	}
-	var dist JobStatus
 	if code := doJSON(t, "POST", coord.URL+"/v1/jobs", "application/json",
 		fmt.Sprintf(spec, dsDist, `,"distributed":true`), &dist); code != http.StatusAccepted {
 		t.Fatalf("distributed submit: status %d", code)
@@ -61,6 +62,15 @@ func TestDistributedJobMatchesBatch(t *testing.T) {
 	for _, r := range distRes.Results {
 		assertPartition(t, r, 10)
 	}
+	doJSON(t, "GET", coord.URL+"/v1/jobs/"+dist.ID, "", "", &dist)
+	return dist, coord, workers
+}
+
+// TestDistributedJobMatchesBatch requires a distributed sweep to match
+// the batch one, and checks that the solves left the coordinator and
+// that the cluster roll-up and the job report count their work.
+func TestDistributedJobMatchesBatch(t *testing.T) {
+	dist, coord, workers := runBatchAndDistributed(t, "")
 
 	// The solves actually left the coordinator.
 	var solves int64
@@ -80,9 +90,7 @@ func TestDistributedJobMatchesBatch(t *testing.T) {
 	// Remote block solves count their distance work: the report carries
 	// the workers' kernel verifications, and each worker adds its solves
 	// to its own distance counter, which the roll-up sums.
-	var distStatus JobStatus
-	doJSON(t, "GET", coord.URL+"/v1/jobs/"+dist.ID, "", "", &distStatus)
-	if rep := distStatus.Report; rep == nil || rep.Phase1Candidates == 0 || rep.DistanceCalls < rep.Phase1Candidates {
+	if rep := dist.Report; rep == nil || rep.Phase1Candidates == 0 || rep.DistanceCalls < rep.Phase1Candidates {
 		t.Errorf("distributed report misses the workers' distance work: %+v", rep)
 	}
 	var calls int64
@@ -100,6 +108,25 @@ func TestDistributedJobMatchesBatch(t *testing.T) {
 	}
 	if got := promSum(t, coord.URL, "dedupd_cluster_workers_alive"); got != 3 {
 		t.Errorf("workers_alive = %v, want 3", got)
+	}
+}
+
+// TestDistributedJaccardJobCountsWorkerMetricCalls runs the sweep under
+// jaccard, a metric the certified scan cannot bound, so the workers'
+// block solves make plain metric calls instead of kernel verifications.
+// The job report must count every one of them: its distance_calls must
+// cover the workers' own distance counters.
+func TestDistributedJaccardJobCountsWorkerMetricCalls(t *testing.T) {
+	dist, _, workers := runBatchAndDistributed(t, `,"metric":"jaccard"`)
+	var calls int64
+	for _, w := range workers {
+		calls += int64(promSum(t, w.URL, "dedupd_distance_calls_total"))
+	}
+	if calls == 0 {
+		t.Fatal("no worker counted a distance call")
+	}
+	if rep := dist.Report; rep == nil || rep.DistanceCalls < calls {
+		t.Errorf("distributed report misses the workers' metric calls (workers report %d): %+v", calls, rep)
 	}
 }
 
